@@ -22,10 +22,8 @@ import time
 from polyext.conditions import check_universality, PairViolation
 from polyext.oracle import (random_instance, random_polygon,
                             random_triangulation, random_plane_instance)
-from polyext.planar import (accommodate, validate_planar, NotSketchableError,
-                            _drawing_respects)
+from polyext.planar import accommodate, validate_planar, NotSketchableError
 from polyext.sketch import sketch_linear, realize, validate_respecting
-from polyext.triangulation import ear_clip, root_dual
 from polyext.witness import build_witness, verify_witness
 
 
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
             totals["planar-unsketchable"] += 1
         else:
             ok = (validate_planar(d, plane.instance)
-                  and _drawing_respects(d, plane.instance, poly))
+                  and validate_respecting(d, plane.instance, poly).ok)
             row["result"] = "drawn" if ok else "invalid"
             totals["planar-drawn" if ok else "failures"] += 1
         lines.append(json.dumps(row, sort_keys=True))

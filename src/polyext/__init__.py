@@ -6,7 +6,7 @@ from .conditions import (check_pair, check_triple, check_universality,
                          PairViolation, TripleViolation, UniversalityResult)
 from .geometry import Point2, SimplePolygon, pt
 from .triangulation import Triangulation, ear_clip, root_dual, validate_triangulation
-from .sketch import delta, sketch_linear, realize, validate_respecting, is_sketch
+from .sketch import sketch_linear, realize, validate_respecting, is_sketch
 
 __all__ = [
     "Instance", "PlaneInstance", "validate_instance", "graph_distances",
@@ -14,7 +14,7 @@ __all__ = [
     "PairViolation", "TripleViolation", "UniversalityResult",
     "Point2", "SimplePolygon", "pt",
     "Triangulation", "ear_clip", "root_dual", "validate_triangulation",
-    "delta", "sketch_linear", "realize", "validate_respecting", "is_sketch",
+    "sketch_linear", "realize", "validate_respecting", "is_sketch",
 ]
 
 __version__ = "0.1.0"

@@ -1,29 +1,31 @@
 """Command-line interface.
 
 Subcommands: check, draw, witness, verify.  Exit codes: 0 for a positive
-verdict, 1 for a negative verdict, 2 for invalid input.  All JSON output is
-deterministic (sorted keys, lossless rationals).
+verdict, 1 for a negative verdict, 2 for invalid input, 3 for an internal
+error (a bug, never a verdict).  All JSON output is deterministic (sorted
+keys, lossless rationals).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+import traceback
 from typing import Optional
 
 from . import jsonio
 from .conditions import (check_pair, check_triple, check_universality,
-                         PairViolation, TripleViolation, PairConditionError)
+                         PairViolation)
 from .geometry import SimplePolygon
 from .model import Instance, graph_distances
-from .sketch import sketch_linear, realize, validate_respecting, Drawing
+from .sketch import sketch_linear, realize, validate_respecting
 from .triangulation import ear_clip, root_dual
 from .jsonio import SchemaError
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(obj) -> None:
@@ -166,18 +168,13 @@ def cmd_verify(args) -> int:
     unknown = [v for v in drawing.positions if not 0 <= v < inst.n]
     if unknown:
         raise SchemaError(f"drawing references unknown vertices {unknown}")
+    tri = None
     if args.tri is not None:
         tri = jsonio.triangulation_from_json(jsonio.load(args.tri), polygon)
-        report = validate_respecting(drawing, inst, polygon, tri)
-        if not report.ok:
-            _emit({"status": "invalid-drawing",
-                   "failures": list(report.failures)})
-            return EXIT_NEGATIVE
-    else:
-        failures = _verify_plain(drawing, inst, polygon)
-        if failures:
-            _emit({"status": "invalid-drawing", "failures": failures})
-            return EXIT_NEGATIVE
+    report = validate_respecting(drawing, inst, polygon, tri)
+    if not report.ok:
+        _emit({"status": "invalid-drawing", "failures": list(report.failures)})
+        return EXIT_NEGATIVE
     if args.planar:
         from .planar import validate_planar
         if not validate_planar(drawing, inst):
@@ -186,28 +183,6 @@ def cmd_verify(args) -> int:
             return EXIT_NEGATIVE
     _emit({"status": "valid"})
     return EXIT_POSITIVE
-
-
-def _verify_plain(drawing: Drawing, inst: Instance,
-                  polygon: SimplePolygon) -> list[str]:
-    """Polygon-respecting checks without a triangulation: cycle pinning and
-    edge containment."""
-    from .geometry import segment_inside_polygon, EndpointOutsideError
-    failures = []
-    pos = drawing.positions
-    for p, v in enumerate(inst.cycle):
-        if pos[v] != polygon.points[p]:
-            failures.append(f"cycle vertex {v} not pinned to polygon vertex {p}")
-            return failures
-    for a, b in inst.edges:
-        try:
-            ok = segment_inside_polygon(pos[a], pos[b], polygon)
-        except EndpointOutsideError:
-            ok = False
-        if not ok:
-            failures.append(f"edge ({a},{b}) leaves the polygon")
-            return failures
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +234,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SchemaError as exc:
         _emit({"status": "invalid-input", "error": str(exc)})
         return EXIT_INVALID
+    except Exception as exc:  # a bug must not read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        _emit({"status": "internal-error",
+               "error": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

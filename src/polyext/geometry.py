@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[int, str, Fraction]
 
 INTERIOR = "interior"

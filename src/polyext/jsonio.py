@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
-from .geometry import Point2, SimplePolygon, pt, signed_area2, PolygonError
-from .model import Instance, PlaneInstance, InstanceError, orient_plane_instance
-from .triangulation import (Triangulation, ear_clip, root_dual,
-                            validate_triangulation, TriangulationError)
+from .geometry import Point2, SimplePolygon, signed_area2, PolygonError
+from .model import (Instance, PlaneInstance, EmbeddingError,
+                    orient_plane_instance, validate_instance)
+from .triangulation import (Triangulation, root_dual, validate_triangulation,
+                            TriangulationError)
 from .sketch import Drawing
-from .witness import Witness, WitnessNote
+from .witness import WitnessNote
 
 
 class SchemaError(ValueError):
@@ -79,10 +80,11 @@ def instance_from_json(data: Any) -> Instance:
         cycle = [int(c) for c in data["cycle"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad instance document: {exc}") from exc
-    try:
-        return Instance(n=n, edges=edges, cycle=cycle)
-    except InstanceError as exc:
-        raise SchemaError(str(exc)) from exc
+    inst = Instance(n=n, edges=edges, cycle=cycle)
+    problems = validate_instance(inst)
+    if problems:
+        raise SchemaError("bad instance: " + "; ".join(problems))
+    return inst
 
 
 def plane_instance_to_json(plane: PlaneInstance) -> dict:
@@ -100,9 +102,13 @@ def plane_instance_from_json(data: Any) -> PlaneInstance:
                for v, ns in data["rotation"].items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"bad rotation field: {exc}") from exc
+    unknown = sorted({u for v, ns in rot.items() for u in [v, *ns]
+                      if not 0 <= u < inst.n})
+    if unknown:
+        raise SchemaError(f"bad rotation field: unknown vertices {unknown}")
     try:
         return orient_plane_instance(PlaneInstance(instance=inst, rotation=rot))
-    except Exception as exc:
+    except EmbeddingError as exc:
         raise SchemaError(f"bad embedding: {exc}") from exc
 
 

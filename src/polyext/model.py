@@ -5,12 +5,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-INF = None  # distance value for unreachable pairs
-
-
-class InstanceError(ValueError):
-    pass
-
 
 @dataclass
 class Instance:
@@ -42,10 +36,6 @@ class Instance:
                 lst.sort()
             self._adj = adj
         return self._adj
-
-    def cycle_position(self) -> dict[int, int]:
-        """vertex id -> 0-based position on the cycle."""
-        return {v: i for i, v in enumerate(self.cycle)}
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -91,9 +81,6 @@ class DistanceTable:
 
     def from_position(self, pos: int) -> list[Optional[int]]:
         return self.dist[pos]
-
-    def between_positions(self, i: int, j: int, cycle: list[int]) -> Optional[int]:
-        return self.dist[i][cycle[j]]
 
 
 def graph_distances(inst: Instance) -> DistanceTable:

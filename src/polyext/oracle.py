@@ -1,6 +1,6 @@
 """Slow, independent reference implementations used to cross-check the fast
 routes, plus seeded random generators for the test suite and experiment
-scripts."""
+scripts.  Nothing in the production pipeline imports this module."""
 from __future__ import annotations
 
 import random
@@ -8,16 +8,146 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .geometry import Point2, SimplePolygon, PolygonError
-from .model import (Instance, PlaneInstance, graph_distances, cycle_distance,
-                    validate_instance)
+from .model import Instance, PlaneInstance, validate_instance
 from .triangulation import (Triangulation, root_dual, ear_clip,
-                            validate_triangulation, _diagonal_ok, _interleave,
-                            _canon)
-from .sketch import Simplex, SimplexTable, simplex_meet, is_sketch
+                            validate_triangulation, _diagonal_ok, _interleave)
+from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
+                     _check_rooted)
 
 
 class OracleLimit(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Reference sketch route: recursive pocket merge (delta).
+# ---------------------------------------------------------------------------
+
+class PocketMaps:
+    """Memoised per-pocket maps for the recursive route.
+
+    lam(Q) is the coarsest local sketch of pocket Q restricted to Q itself;
+    lam_plus(Q) pushes assignments out across the lid into the outer triangle
+    when every neighbour keeps contact with the lid.  Either map is None when
+    the pocket admits no local sketch.
+    """
+
+    def __init__(self, inst: Instance, tri: Triangulation,
+                 table: Optional[SimplexTable] = None):
+        _check_rooted(tri)
+        if inst.t != tri.t:
+            raise SketchError("cycle length differs from polygon size")
+        self.inst = inst
+        self.tri = tri
+        self.table = table or SimplexTable(tri)
+        self.adj = inst.adjacency()
+        self._lam: dict[tuple[int, int], Optional[dict[int, Simplex]]] = {}
+        self._lam_plus: dict[tuple[int, int], Optional[dict[int, Simplex]]] = {}
+
+    def lam(self, edge: tuple[int, int]) -> Optional[dict[int, Simplex]]:
+        if edge in self._lam:
+            return self._lam[edge]
+        pocket = self.tri.pockets[edge]
+        t = self.tri.t
+        if pocket.trivial:
+            i = pocket.start % t
+            j = pocket.end % t
+            lid = tuple(sorted((i, j)))
+            out: dict[int, Simplex] = {}
+            ci, cj = self.inst.cycle[i], self.inst.cycle[j]
+            for v in range(self.inst.n):
+                out[v] = lid
+            out[ci] = (i,)
+            out[cj] = (j,)
+            self._lam[edge] = out
+            return out
+        left_e, right_e = pocket.children
+        lp = self.lam_plus(left_e)
+        rp = self.lam_plus(right_e)
+        if lp is None or rp is None:
+            self._lam[edge] = None
+            return None
+        tq = tuple(self.tri.triangles[pocket.inner_triangle])
+        out = {}
+        for v in range(self.inst.n):
+            a, b = lp[v], rp[v]
+            m = simplex_meet(a, b)
+            if m is not None:
+                out[v] = m
+            elif b == tq:
+                out[v] = a
+            elif a == tq:
+                out[v] = b
+            else:
+                self._lam[edge] = None
+                return None
+        self._lam[edge] = out
+        return out
+
+    def lam_plus(self, edge: tuple[int, int]) -> Optional[dict[int, Simplex]]:
+        if edge in self._lam_plus:
+            return self._lam_plus[edge]
+        lam = self.lam(edge)
+        if lam is None:
+            self._lam_plus[edge] = None
+            return None
+        pocket = self.tri.pockets[edge]
+        lid = tuple(sorted(pocket.edge))
+        lid_set = set(lid)
+        t_out = tuple(self.tri.triangles[pocket.outer_triangle])
+        out = {}
+        for v in range(self.inst.n):
+            s = lam[v]
+            if lid_set <= set(s) and all(
+                    simplex_meet(lam[u], lid) is not None for u in self.adj[v]):
+                out[v] = t_out
+            else:
+                m = simplex_meet(s, lid)
+                out[v] = m if m is not None else s
+        self._lam_plus[edge] = out
+        return out
+
+
+def lambda_plus(edge: tuple[int, int], inst: Instance, tri: Triangulation
+                ) -> Optional[dict[int, Simplex]]:
+    return PocketMaps(inst, tri).lam_plus(edge)
+
+
+def delta(inst: Instance, tri: Triangulation,
+          maps: Optional[PocketMaps] = None) -> Optional[dict[int, Simplex]]:
+    """Coarsest sketch over the whole triangulation, or None if none exists.
+
+    Merges the three root pockets: take the triple intersection where it is
+    nonempty; where it is empty, a single constrained pocket wins provided the
+    two others are unconstrained (equal to the root triangle); otherwise no
+    sketch exists.
+    """
+    if maps is None:
+        maps = PocketMaps(inst, tri)
+    troot = maps.table.root_triangle()
+    plus = []
+    for pocket in tri.root_pockets():
+        p = maps.lam_plus(pocket.edge)
+        if p is None:
+            return None
+        plus.append(p)
+    pa, pb, pc = plus
+    out: dict[int, Simplex] = {}
+    for v in range(inst.n):
+        a, b, c = pa[v], pb[v], pc[v]
+        m = simplex_meet(a, b)
+        m = simplex_meet(m, c) if m is not None else None
+        if m is not None:
+            out[v] = m
+        elif b == troot and c == troot:
+            out[v] = a
+        elif a == troot and c == troot:
+            out[v] = b
+        elif a == troot and b == troot:
+            out[v] = c
+        else:
+            return None
+    return out
 
 
 def _bfs_order(inst: Instance) -> list[int]:
@@ -167,32 +297,6 @@ def is_local_sketch(assign: dict[int, Simplex], inst: Instance,
                for u, v in inst.edges)
 
 
-def is_pulled(v: int, pocket_range: tuple[int, int], inst: Instance,
-              dist_from: Optional[dict[int, list[Optional[int]]]] = None
-              ) -> bool:
-    """Whether graph distances alone force v into the pocket spanning cycle
-    positions [i..j] (inclusive, unwrapped)."""
-    i, j = pocket_range
-    t = inst.t
-
-    def d(v_, pos):
-        if dist_from is not None:
-            return dist_from[pos % t][v_]
-        from .model import graph_distances
-        return graph_distances(inst).from_position(pos % t)[v_]
-
-    ks = range(i, j + 1)
-    for k in ks:
-        dv = d(v, k)
-        if dv is not None and dv <= min(k - i, j - k):
-            return True
-    one = any(d(v, k) is not None and d(v, k) <= min(k - i + 1, j - k - 1)
-              for k in ks)
-    two = any(d(v, l) is not None and d(v, l) <= min(l - i - 1, j - l + 1)
-              for l in ks)
-    return one and two
-
-
 def localize(assign: dict[int, Simplex], pocket_range: tuple[int, int],
              tri: Triangulation, outer_triangle: Simplex
              ) -> dict[int, Simplex]:
@@ -290,7 +394,7 @@ def random_polygon(rng: random.Random, t: int,
                    attempts: int = 2000) -> SimplePolygon:
     """Random simple polygon with t integer vertices, by 2-opt untangling of
     a random point set's tour."""
-    from .geometry import segments_properly_cross, orient
+    from .geometry import segments_properly_cross
     span = 4 * t
     for _ in range(attempts):
         pts = set()
@@ -346,7 +450,7 @@ def random_triangulation(rng: random.Random, polygon: SimplePolygon,
 def random_plane_instance(rng: random.Random, t: int, extra: int) -> PlaneInstance:
     """Random plane instance: start from the cycle drawn as a convex t-gon,
     insert extra vertices inside random faces and connect them planarly."""
-    from .planar import PlaneSurgeon
+    from .planar import PlaneSurgeon, PlanarError
     inst = Instance(n=t, edges=[(i, (i + 1) % t) for i in range(t)],
                     cycle=list(range(t)))
     rotation = {i: [(i - 1) % t, (i + 1) % t] for i in range(t)}
@@ -369,6 +473,6 @@ def random_plane_instance(rng: random.Random, t: int, extra: int) -> PlaneInstan
             continue
         try:
             surgeon.add_edge_in_face(face, su, sv)
-        except Exception:
+        except (PlanarError, ValueError):
             continue
     return surgeon.plane

@@ -10,17 +10,16 @@ planar drawing inside the polygon.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .geometry import (Point2, SimplePolygon, orient, point_on_segment,
-                       segments_properly_cross, segment_inside_polygon,
-                       EndpointOutsideError, midpoint)
+                       segments_properly_cross)
 from .model import (Instance, PlaneInstance, trace_faces, _cyclic_equal,
-                    validate_plane_instance, EmbeddingError)
-from .triangulation import Triangulation, root_dual, validate_triangulation
-from .sketch import delta, Drawing, realize, PocketMaps, SimplexTable
+                    validate_plane_instance)
+from .triangulation import Triangulation, root_dual
+from .sketch import sketch_linear, Drawing, SimplexTable, validate_respecting
 
 
 class PlanarError(ValueError):
@@ -202,10 +201,7 @@ class PlaneSurgeon:
 # ---------------------------------------------------------------------------
 
 def _sketchable(plane: PlaneInstance, tri: Triangulation) -> bool:
-    try:
-        return delta(plane.instance, tri) is not None
-    except Exception:
-        return False
+    return sketch_linear(plane.instance, tri) is not None
 
 
 def _assert_valid(plane: PlaneInstance):
@@ -328,7 +324,7 @@ def _split_quad(s: PlaneSurgeon, va: int, vb: int, ub: int, ua: int,
         except (PlanarError, ValueError):
             s.edges, s.rot = saved
             continue
-        if delta(s.plane.instance, tri) is None:
+        if not _sketchable(s.plane, tri):
             s.edges, s.rot = saved
             continue
         journal.append(AddedEdge(p, q))
@@ -345,7 +341,7 @@ def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation,
     def rec(cyc: list[int]):
         if len(cyc) <= 3:
             return
-        assign = delta(s.plane.instance, tri)
+        assign = sketch_linear(s.plane.instance, tri)
         pairs = []
         m = len(cyc)
         for off in range(2, m - 1):
@@ -369,7 +365,7 @@ def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation,
             except (PlanarError, ValueError):
                 s.edges, s.rot = saved
                 continue
-            if delta(s.plane.instance, tri) is None:
+            if not _sketchable(s.plane, tri):
                 s.edges, s.rot = saved
                 continue
             journal.append(AddedEdge(u, v))
@@ -558,19 +554,6 @@ def validate_planar(drawing: Drawing, inst: Instance) -> bool:
     return True
 
 
-def _drawing_respects(drawing: Drawing, inst: Instance,
-                      polygon: SimplePolygon) -> bool:
-    pos = drawing.positions
-    for p, v in enumerate(inst.cycle):
-        if pos[v] != polygon.points[p]:
-            return False
-    try:
-        return all(segment_inside_polygon(pos[a], pos[b], polygon)
-                   for a, b in inst.edges)
-    except EndpointOutsideError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Accommodation: backward journal replay.
 # ---------------------------------------------------------------------------
@@ -670,13 +653,13 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
             d = Drawing(positions=dict(pos))
             if not validate_planar(d, cur.instance):
                 raise _ReplayFailure("intermediate drawing not planar")
-            if not _drawing_respects(d, cur.instance, polygon):
+            if not validate_respecting(d, cur.instance, polygon).ok:
                 raise _ReplayFailure("intermediate drawing leaves the polygon")
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
         raise _ReplayFailure("final drawing not planar")
-    if not _drawing_respects(drawing, original, polygon):
+    if not validate_respecting(drawing, original, polygon).ok:
         raise _ReplayFailure("final drawing leaves the polygon")
     return drawing
 
@@ -718,8 +701,8 @@ def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
                 cand = dict(new_pos)
                 cand[v] = zp + direction.scale(dist / ln)
                 d = Drawing(positions=cand)
-                if validate_planar(d, before.instance) and _drawing_respects(
-                        d, before.instance, polygon):
+                if validate_planar(d, before.instance) and validate_respecting(
+                        d, before.instance, polygon).ok:
                     return cand
     raise _ReplayFailure(f"could not split vertex {v} off {z}")
 

@@ -7,9 +7,11 @@ are identified combinatorially by their sorted polygon-index tuple; because a
 valid triangulation is a simplicial complex, set intersection of vertex
 tuples computes geometric intersection exactly.
 
-Two independent routes compute the canonical coarsest sketch: a recursive
-pocket merge (delta) and a one-pass table algorithm (sketch_linear).  They are
-kept separate on purpose and cross-checked in the test suite.
+sketch_linear computes the canonical coarsest sketch in one postorder sweep
+over the pockets, in time linear in the instance and the polygon; realize
+turns a sketch into exact positions and validate_respecting checks any
+drawing against the polygon.  The recursive pocket merge that defines the
+coarsest sketch lives in polyext.oracle as a test-only reference.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import (Point2, SimplePolygon, point_in_triangle,
-                       segment_inside_polygon, OUTSIDE)
+                       segment_inside_polygon, EndpointOutsideError, OUTSIDE)
 from .model import Instance
-from .triangulation import Triangulation, Pocket
+from .triangulation import Triangulation
 
 Simplex = tuple[int, ...]  # sorted polygon indices; length 1, 2, or 3
 
@@ -51,7 +53,6 @@ class SimplexTable:
         self.edges: list[Simplex] = [tuple(e) for e in tri.all_edges()]
         self.triangles: list[Simplex] = [tuple(tr) for tr in tri.triangles]
         self.all: list[Simplex] = self.vertices + self.edges + self.triangles
-        self._tri_sets = [frozenset(tr) for tr in tri.triangles]
         self._members: dict[Simplex, set[int]] = {}
         for tid, tr in enumerate(tri.triangles):
             a, b, c = tr
@@ -63,9 +64,6 @@ class SimplexTable:
     def is_simplex(self, s: Simplex) -> bool:
         return s in self._members
 
-    def triangles_containing(self, s: Simplex) -> set[int]:
-        return self._members.get(s, set())
-
     def shares_triangle(self, s1: Simplex, s2: Simplex) -> bool:
         """True iff some closed triangle of the triangulation contains both."""
         union = tuple(sorted(set(s1) | set(s2)))
@@ -75,10 +73,6 @@ class SimplexTable:
 
     def root_triangle(self) -> Simplex:
         return tuple(self.tri.triangles[self.tri.root])
-
-
-def shares_triangle(s1: Simplex, s2: Simplex, table: SimplexTable) -> bool:
-    return table.shares_triangle(s1, s2)
 
 
 def is_sketch(assign: dict[int, Simplex], inst: Instance, tri: Triangulation,
@@ -101,142 +95,6 @@ def is_sketch(assign: dict[int, Simplex], inst: Instance, tri: Triangulation,
 
 
 # ---------------------------------------------------------------------------
-# Reference route: recursive pocket merge.
-# ---------------------------------------------------------------------------
-
-class PocketMaps:
-    """Memoised per-pocket maps for the recursive route.
-
-    lam(Q) is the coarsest local sketch of pocket Q restricted to Q itself;
-    lam_plus(Q) pushes assignments out across the lid into the outer triangle
-    when every neighbour keeps contact with the lid.  Either map is None when
-    the pocket admits no local sketch.
-    """
-
-    def __init__(self, inst: Instance, tri: Triangulation,
-                 table: Optional[SimplexTable] = None):
-        _check_rooted(tri)
-        if inst.t != tri.t:
-            raise SketchError("cycle length differs from polygon size")
-        self.inst = inst
-        self.tri = tri
-        self.table = table or SimplexTable(tri)
-        self.adj = inst.adjacency()
-        self._lam: dict[tuple[int, int], Optional[dict[int, Simplex]]] = {}
-        self._lam_plus: dict[tuple[int, int], Optional[dict[int, Simplex]]] = {}
-
-    def lam(self, edge: tuple[int, int]) -> Optional[dict[int, Simplex]]:
-        if edge in self._lam:
-            return self._lam[edge]
-        pocket = self.tri.pockets[edge]
-        t = self.tri.t
-        if pocket.trivial:
-            i = pocket.start % t
-            j = pocket.end % t
-            lid = tuple(sorted((i, j)))
-            out: dict[int, Simplex] = {}
-            ci, cj = self.inst.cycle[i], self.inst.cycle[j]
-            for v in range(self.inst.n):
-                out[v] = lid
-            out[ci] = (i,)
-            out[cj] = (j,)
-            self._lam[edge] = out
-            return out
-        left_e, right_e = pocket.children
-        lp = self.lam_plus(left_e)
-        rp = self.lam_plus(right_e)
-        if lp is None or rp is None:
-            self._lam[edge] = None
-            return None
-        tq = tuple(self.tri.triangles[pocket.inner_triangle])
-        out = {}
-        for v in range(self.inst.n):
-            a, b = lp[v], rp[v]
-            m = simplex_meet(a, b)
-            if m is not None:
-                out[v] = m
-            elif b == tq:
-                out[v] = a
-            elif a == tq:
-                out[v] = b
-            else:
-                self._lam[edge] = None
-                return None
-        self._lam[edge] = out
-        return out
-
-    def lam_plus(self, edge: tuple[int, int]) -> Optional[dict[int, Simplex]]:
-        if edge in self._lam_plus:
-            return self._lam_plus[edge]
-        lam = self.lam(edge)
-        if lam is None:
-            self._lam_plus[edge] = None
-            return None
-        pocket = self.tri.pockets[edge]
-        lid = tuple(sorted(pocket.edge))
-        lid_set = set(lid)
-        t_out = tuple(self.tri.triangles[pocket.outer_triangle])
-        out = {}
-        for v in range(self.inst.n):
-            s = lam[v]
-            if lid_set <= set(s) and all(
-                    simplex_meet(lam[u], lid) is not None for u in self.adj[v]):
-                out[v] = t_out
-            else:
-                m = simplex_meet(s, lid)
-                out[v] = m if m is not None else s
-        self._lam_plus[edge] = out
-        return out
-
-
-def lambda_interior(edge: tuple[int, int], inst: Instance, tri: Triangulation
-                    ) -> Optional[dict[int, Simplex]]:
-    return PocketMaps(inst, tri).lam(edge)
-
-
-def lambda_plus(edge: tuple[int, int], inst: Instance, tri: Triangulation
-                ) -> Optional[dict[int, Simplex]]:
-    return PocketMaps(inst, tri).lam_plus(edge)
-
-
-def delta(inst: Instance, tri: Triangulation,
-          maps: Optional[PocketMaps] = None) -> Optional[dict[int, Simplex]]:
-    """Coarsest sketch over the whole triangulation, or None if none exists.
-
-    Merges the three root pockets: take the triple intersection where it is
-    nonempty; where it is empty, a single constrained pocket wins provided the
-    two others are unconstrained (equal to the root triangle); otherwise no
-    sketch exists.
-    """
-    if maps is None:
-        maps = PocketMaps(inst, tri)
-    troot = maps.table.root_triangle()
-    plus = []
-    for pocket in tri.root_pockets():
-        p = maps.lam_plus(pocket.edge)
-        if p is None:
-            return None
-        plus.append(p)
-    pa, pb, pc = plus
-    out: dict[int, Simplex] = {}
-    for v in range(inst.n):
-        a, b, c = pa[v], pb[v], pc[v]
-        m = simplex_meet(a, b)
-        m = simplex_meet(m, c) if m is not None else None
-        if m is not None:
-            out[v] = m
-        elif b == troot and c == troot:
-            out[v] = a
-        elif a == troot and c == troot:
-            out[v] = b
-        elif a == troot and b == troot:
-            out[v] = c
-        else:
-            return None
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Linear route: single shared table over a postorder pocket sweep.
 # ---------------------------------------------------------------------------
 
@@ -251,7 +109,7 @@ class SweepStats:
 def sketch_linear(inst: Instance, tri: Triangulation,
                   stats: Optional[SweepStats] = None
                   ) -> Optional[dict[int, Simplex]]:
-    """One-pass equivalent of delta.
+    """Coarsest sketch over the whole triangulation, or None if none exists.
 
     A single table S maps each vertex to its accumulated constraint.  Pockets
     are swept children before parents; a trivial pocket pins its two cycle
@@ -367,10 +225,11 @@ class RespectReport:
 
 
 def validate_respecting(drawing: Drawing, inst: Instance,
-                        polygon: SimplePolygon, tri: Triangulation
-                        ) -> RespectReport:
-    """Check that a drawing respects the triangulation: cycle pinned, every
-    edge inside the polygon, and every edge inside some closed triangle."""
+                        polygon: SimplePolygon,
+                        tri: Optional[Triangulation] = None) -> RespectReport:
+    """Check that a drawing respects the polygon: every vertex placed, cycle
+    pinned, and every edge inside the polygon.  Given a triangulation, also
+    check that every edge lies inside some closed triangle of it."""
     failures = []
     pos = drawing.positions
     for p, v in enumerate(inst.cycle):
@@ -383,19 +242,20 @@ def validate_respecting(drawing: Drawing, inst: Instance,
             failures.append(f"vertex {v} missing a position")
     if failures:
         return RespectReport(False, tuple(failures))
-    tri_pts = [(polygon.points[a], polygon.points[b], polygon.points[c])
-               for a, b, c in tri.triangles]
+    tri_pts = None if tri is None else [
+        (polygon.points[a], polygon.points[b], polygon.points[c])
+        for a, b, c in tri.triangles]
     for u, v in inst.edges:
         a, b = pos[u], pos[v]
         try:
             if not segment_inside_polygon(a, b, polygon):
                 failures.append(f"edge ({u},{v}) leaves the polygon")
                 continue
-        except Exception:
+        except EndpointOutsideError:
             failures.append(f"edge ({u},{v}) has an endpoint outside the polygon")
             continue
-        if not any(point_in_triangle(a, *tp) != OUTSIDE
-                   and point_in_triangle(b, *tp) != OUTSIDE
-                   for tp in tri_pts):
+        if tri_pts is not None and not any(
+                point_in_triangle(a, *tp) != OUTSIDE
+                and point_in_triangle(b, *tp) != OUTSIDE for tp in tri_pts):
             failures.append(f"edge ({u},{v}) not contained in any closed triangle")
     return RespectReport(not failures, tuple(failures))

@@ -84,7 +84,7 @@ def drawing_svg(drawing: Drawing, inst: Instance, polygon: SimplePolygon,
 def witness_svg(polygon: SimplePolygon, inst: Instance, anchors: dict[int, int],
                 kind: str, ball_depths: Optional[dict[int, int]] = None) -> str:
     """Witness polygon with the anchors' link balls shaded."""
-    from .visibility import link_ball
+    from .visibility import link_ball, VisibilityError
     cv = _Canvas(list(polygon.points))
     cv.poly(polygon.points, "fill:#f7f5ee;stroke:#444;stroke-width:2")
     shades = ["#fce5cd", "#d9ead3", "#cfe2f3"]
@@ -94,7 +94,7 @@ def witness_svg(polygon: SimplePolygon, inst: Instance, anchors: dict[int, int],
             region = link_ball(polygon, polygon.points[pidx], depth)
             cv.poly(region.ring,
                     f"fill:{shades[s_idx % 3]};fill-opacity:0.6;stroke:none")
-        except Exception:
+        except VisibilityError:
             pass
     for s_idx, (cpos, pidx) in enumerate(sorted(anchors.items())):
         cv.dot(polygon.points[pidx], 5.0, "#c01c28", f"c{cpos + 1}")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .geometry import (SimplePolygon, Point2, orient, point_in_triangle,
                        point_on_segment, segment_inside_polygon,
-                       segment_intersection, OUTSIDE)
+                       segment_intersection, EndpointOutsideError, OUTSIDE)
 
 
 class TriangulationError(ValueError):
@@ -143,7 +143,7 @@ def _diagonal_ok(polygon: SimplePolygon, a: int, b: int) -> bool:
             return False
     try:
         return segment_inside_polygon(pa, pb, polygon)
-    except Exception:
+    except EndpointOutsideError:
         return False
 
 
@@ -157,30 +157,29 @@ def _interleave(t: int, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
 
 def _split_ring(t: int, diag_set: set[tuple[int, int]]
                 ) -> list[tuple[int, int, int]]:
+    """Triangles of the diagonal set, in depth-first order over the
+    sub-polygons cut off by each triangle.
+
+    A sub-polygon is the index range lo..hi of the ring, closed by the edge
+    (lo, hi); its triangle on that edge has the first apex m joined to both
+    ends.  The work list holds ranges still to split, left part first.
+    """
     triangles = []
-
-    def rec(chain: list[int]):
-        # chain is a list of polygon indices in ring order bounding a sub-polygon
-        if len(chain) < 3:
-            raise TriangulationError("bad subdivision")
-        if len(chain) == 3:
-            triangles.append(tuple(sorted(chain)))
-            return
-        a, b = chain[0], chain[-1]
-        for i in range(1, len(chain) - 1):
-            m = chain[i]
-            ok_am = (i == 1) or (_canon(a, m) in diag_set)
-            ok_mb = (i == len(chain) - 2) or (_canon(m, b) in diag_set)
-            if ok_am and ok_mb:
-                triangles.append(tuple(sorted((a, m, b))))
-                if i > 1:
-                    rec(chain[:i + 1])
-                if i < len(chain) - 2:
-                    rec(chain[i:])
-                return
-        raise TriangulationError("diagonal set does not triangulate the polygon")
-
-    rec(list(range(t)))
+    work = [(0, t - 1)]
+    while work:
+        lo, hi = work.pop()
+        for m in range(lo + 1, hi):
+            if ((m == lo + 1 or _canon(lo, m) in diag_set)
+                    and (m == hi - 1 or _canon(m, hi) in diag_set)):
+                break
+        else:
+            raise TriangulationError(
+                "diagonal set does not triangulate the polygon")
+        triangles.append((lo, m, hi))
+        if m < hi - 1:
+            work.append((m, hi))
+        if m > lo + 1:
+            work.append((lo, m))
     return triangles
 
 

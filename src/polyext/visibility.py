@@ -18,7 +18,7 @@ from .geometry import (Point2, SimplePolygon, point_in_polygon, point_in_ring,
                        point_on_segment, primitive_direction, angular_cmp,
                        ccw_strictly_between, segment_intersection,
                        segment_inside_polygon, orient, midpoint,
-                       INTERIOR, BOUNDARY, OUTSIDE, EndpointOutsideError)
+                       BOUNDARY, OUTSIDE, EndpointOutsideError)
 
 Ring = list[Point2]
 

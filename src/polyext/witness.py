@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import (Point2, SimplePolygon, pt, signed_area2, PolygonError)
 from .model import Instance, cycle_distance
 from .conditions import PairViolation, TripleViolation
-from .visibility import (link_distance, link_ball, triple_intersection_empty,
-                         _rings_intersect)
+from .visibility import link_distance, link_ball, triple_intersection_empty
 
 
 class WitnessError(ValueError):
@@ -181,8 +179,7 @@ def _arm_graft(depth: int, target_in: Point2, target_out: Point2
     return chain
 
 
-def triple_spiral(violation: TripleViolation, t: int,
-                  inst: Optional[Instance] = None) -> Witness:
+def triple_spiral(violation: TripleViolation, t: int) -> Witness:
     """Pinwheel polygon whose three link balls (radius d_i, d_j, d_k around
     the violating anchors) have empty common intersection."""
     i, j, k = violation.i - 1, violation.j - 1, violation.k - 1
@@ -239,7 +236,7 @@ def build_witness(inst: Instance, violation) -> Witness:
     if isinstance(violation, PairViolation):
         return pair_spiral(violation, inst.t)
     if isinstance(violation, TripleViolation):
-        return triple_spiral(violation, inst.t, inst)
+        return triple_spiral(violation, inst.t)
     raise WitnessError(f"unknown violation type {type(violation).__name__}")
 
 

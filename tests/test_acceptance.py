@@ -16,18 +16,19 @@ from polyext.geometry import (SimplePolygon, pt, Point2, point_in_polygon,
 from polyext.model import Instance
 from polyext.conditions import (check_pair, check_triple, check_universality,
                                 PairViolation, TripleViolation)
-from polyext.sketch import (delta, sketch_linear, realize, validate_respecting,
-                            lambda_plus, SweepStats)
+from polyext.sketch import (sketch_linear, realize, validate_respecting,
+                            SweepStats)
 from polyext.triangulation import ear_clip, root_dual
 from polyext.visibility import link_distance, link_distance_pointwise
 from polyext.witness import build_witness, verify_witness, _spiral_ring
 from polyext.planar import (minimize, accommodate, validate_planar,
-                            NotSketchableError, _drawing_respects)
-from polyext.oracle import (enumerate_sketches, iter_sketches, localize,
-                            is_local_sketch, enumerate_local_sketches,
-                            all_triangulations, random_instance,
-                            random_universal_instance, random_polygon,
-                            random_triangulation, random_plane_instance)
+                            NotSketchableError)
+from polyext.oracle import (delta, lambda_plus, enumerate_sketches,
+                            iter_sketches, localize, is_local_sketch,
+                            enumerate_local_sketches, all_triangulations,
+                            random_instance, random_universal_instance,
+                            random_polygon, random_triangulation,
+                            random_plane_instance)
 from polyext.jsonio import load, instance_from_json, polygon_from_json
 from polyext.cli import main as cli_main, EXIT_POSITIVE
 
@@ -242,7 +243,7 @@ def test_criterion_7_planar_pipeline():
         assert {tuple(sorted(e)) for e in mi.edges} == want, plane
         d = accommodate(plane, poly, tri)
         assert validate_planar(d, plane.instance), plane
-        assert _drawing_respects(d, plane.instance, poly), plane
+        assert validate_respecting(d, plane.instance, poly).ok, plane
         for v in range(plane.instance.n):
             assert point_in_polygon(d.positions[v], poly) != OUTSIDE
         done += 1
@@ -253,7 +254,7 @@ def test_criterion_7_planar_pipeline():
     sq = polygon_from_json(load(fixture_path("square_polygon.json")))
     d = accommodate(plane, sq)
     assert validate_planar(d, plane.instance)
-    assert _drawing_respects(d, plane.instance, sq)
+    assert validate_respecting(d, plane.instance, sq).ok
     _report(7, f"{done} sketchable plane instances accommodated; minimal "
                f"instances canonical; stored square fixture planar")
 

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from polyext.cli import main, EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_INVALID
+from polyext.cli import (main, EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_INVALID,
+                         EXIT_INTERNAL)
 from polyext.jsonio import (dumps, instance_to_json, polygon_to_json,
                             triangulation_to_json, load)
 from polyext.geometry import SimplePolygon, pt
@@ -55,6 +56,58 @@ def test_check_invalid_input(tmp_path, capsys):
     assert main(["check", p]) == EXIT_INVALID
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command", ["check", "draw"])
+@pytest.mark.parametrize("doc", [
+    {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 7]],
+     "cycle": [0, 1, 2, 3]},                               # edge out of range
+    {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+     "cycle": [0, 1, 2, 3]},                               # cycle edge missing
+    {"n": 2, "edges": [[0, 1]], "cycle": [0, 1]},          # 2-vertex cycle
+], ids=["edge-out-of-range", "cycle-edge-missing", "two-vertex-cycle"])
+def test_malformed_instance_is_invalid_input(workdir, tmp_path, capsys,
+                                             command, doc):
+    p = str(tmp_path / "bad.json")
+    with open(p, "w") as fh:
+        fh.write(json.dumps(doc))
+    argv = ["check", p] if command == "check" else \
+        ["draw", p, workdir["polygon"], "-o", str(tmp_path / "d.json")]
+    assert main(argv) == EXIT_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "invalid-input"
+    assert out["error"].startswith("bad instance:")
+
+
+@pytest.mark.parametrize("where", ["key", "neighbour"])
+def test_rotation_naming_unknown_vertex_is_invalid_input(workdir, tmp_path,
+                                                        capsys, where):
+    doc = load(fixture_path("square_pair_plane_instance.json"))
+    if where == "key":
+        doc["rotation"]["99"] = [0]
+    else:
+        doc["rotation"]["0"].append(99)
+    p = str(tmp_path / "plane.json")
+    with open(p, "w") as fh:
+        fh.write(json.dumps(doc))
+    rc = main(["draw", p, workdir["polygon"], "--planar",
+               "-o", str(tmp_path / "d.json")])
+    assert rc == EXIT_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "invalid-input"
+    assert "unknown vertices" in out["error"]
+
+
+def test_internal_error_is_not_a_verdict(workdir, monkeypatch, capsys):
+    import polyext.cli as cli
+
+    def broken(inst):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_universality", broken)
+    assert main(["check", workdir["instance"]]) == EXIT_INTERNAL
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "internal-error", "error": "RuntimeError: boom"}
 
 
 def test_draw_and_verify(workdir, capsys):

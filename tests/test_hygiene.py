@@ -1,0 +1,60 @@
+"""Source rules the package keeps, checked on its syntax tree.
+
+- No bare ``except`` and no ``except Exception``: a handler names the errors
+  it means to catch, so a bug cannot turn into a verdict.  The one exception
+  is the top-level handler in ``cli.main``, which reports any other failure
+  as an internal error (exit 3).
+- No floats outside ``svg.py``: neither the name ``float`` nor a float
+  literal.  Exact arithmetic stops only at the presentation layer.
+"""
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "polyext")
+MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
+def _tree(name):
+    with open(os.path.join(PACKAGE, name)) as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
+def _broad_handlers(tree):
+    """(enclosing function, line) of every bare or ``except Exception``."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None or any(
+                    isinstance(n, ast.Name)
+                    and n.id in ("Exception", "BaseException") for n in names):
+                out.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_broad_exception_handlers(name):
+    found = _broad_handlers(_tree(name))
+    if name == "cli.py":
+        assert [func for func, _ in found] == ["main"], found
+    else:
+        assert found == [], f"{name}: broad handlers at {found}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "svg.py"])
+def test_no_floats_outside_svg(name):
+    found = [node.lineno for node in ast.walk(_tree(name))
+             if (isinstance(node, ast.Name) and node.id == "float")
+             or (isinstance(node, ast.Constant)
+                 and isinstance(node.value, float))]
+    assert found == [], f"{name}: floats at lines {found}"

@@ -76,7 +76,8 @@ def test_plane_instance_round_trip(fixture_path=fixture_path):
 
 
 def test_drawing_round_trip(hub_instance, square_diag):
-    from polyext.sketch import delta, realize
+    from polyext.oracle import delta
+    from polyext.sketch import realize
     d = realize(delta(hub_instance, square_diag), square_diag)
     blob = drawing_to_json(d)
     back = drawing_from_json(blob)

@@ -4,10 +4,11 @@ import pytest
 
 from polyext.geometry import SimplePolygon, pt
 from polyext.model import Instance, validate_instance
-from polyext.sketch import delta, is_sketch, lambda_plus
+from polyext.sketch import is_sketch
 from polyext.triangulation import root_dual
-from polyext.oracle import (enumerate_sketches, iter_sketches, OracleLimit,
-                            all_triangulations, localize, is_local_sketch,
+from polyext.oracle import (delta, lambda_plus, enumerate_sketches,
+                            iter_sketches, OracleLimit, all_triangulations,
+                            localize, is_local_sketch,
                             enumerate_local_sketches, pocket_simplices,
                             random_instance, random_universal_instance,
                             random_polygon, random_triangulation,

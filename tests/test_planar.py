@@ -9,7 +9,8 @@ from polyext.triangulation import ear_clip, root_dual
 from polyext.oracle import random_plane_instance, random_polygon
 from polyext.planar import (minimize, accommodate, validate_planar,
                             NotSketchableError, ContractedEdge,
-                            StrippedTriangle, _drawing_respects)
+                            StrippedTriangle)
+from polyext.sketch import validate_respecting
 
 from conftest import fixture_path, suite_seed
 
@@ -57,7 +58,7 @@ def test_accommodate_square_pair():
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     d = accommodate(plane, sq)
     assert validate_planar(d, plane.instance)
-    assert _drawing_respects(d, plane.instance, sq)
+    assert validate_respecting(d, plane.instance, sq).ok
     for v in range(plane.instance.n):
         assert point_in_polygon(d.positions[v], sq) != OUTSIDE
 
@@ -72,7 +73,7 @@ def test_accommodate_wheel_various_polygons():
     for poly in (pent, nonconvex):
         d = accommodate(plane, poly)
         assert validate_planar(d, plane.instance)
-        assert _drawing_respects(d, plane.instance, poly)
+        assert validate_respecting(d, plane.instance, poly).ok
 
 
 def test_not_sketchable_raises():
@@ -105,5 +106,18 @@ def test_random_suite():
             continue
         done += 1
         assert validate_planar(d, plane.instance)
-        assert _drawing_respects(d, plane.instance, poly)
+        assert validate_respecting(d, plane.instance, poly).ok
     assert done >= 15
+
+
+def test_sketch_failure_is_not_a_verdict(monkeypatch):
+    # a crash in the sketch route must surface, not read as "not sketchable"
+    import polyext.planar as planar
+
+    def broken(inst, tri):
+        raise RuntimeError("sketch route crashed")
+
+    monkeypatch.setattr(planar, "sketch_linear", broken)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    with pytest.raises(RuntimeError, match="sketch route crashed"):
+        minimize(square_pair_plane(), root_dual(ear_clip(sq)))

@@ -7,10 +7,10 @@ from polyext.geometry import (SimplePolygon, pt, Point2, point_in_polygon,
                               segment_inside_polygon, OUTSIDE)
 from polyext.model import Instance
 from polyext.conditions import check_pair, check_universality
-from polyext.sketch import delta, sketch_linear, realize, validate_respecting
+from polyext.sketch import sketch_linear, realize, validate_respecting
 from polyext.triangulation import root_dual
 from polyext.visibility import link_distance, link_distance_pointwise
-from polyext.oracle import (enumerate_sketches, random_instance,
+from polyext.oracle import (delta, enumerate_sketches, random_instance,
                             random_polygon, random_triangulation,
                             enumerate_local_sketches, all_triangulations)
 from polyext.jsonio import (instance_to_json, instance_from_json,

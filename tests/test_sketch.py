@@ -5,9 +5,10 @@ import pytest
 from polyext.geometry import SimplePolygon, pt, Point2
 from polyext.model import Instance
 from polyext.triangulation import validate_triangulation, root_dual, ear_clip
-from polyext.sketch import (delta, sketch_linear, realize, validate_respecting,
+from polyext.sketch import (sketch_linear, realize, validate_respecting,
                             is_sketch, SimplexTable, simplex_meet,
-                            lambda_interior, lambda_plus, SweepStats, Drawing)
+                            SweepStats, Drawing)
+from polyext.oracle import delta, lambda_plus, PocketMaps
 
 
 def test_simplex_meet():
@@ -85,6 +86,24 @@ def test_validate_respecting_failures(hub_instance, square_diag):
     assert not rep.ok
 
 
+def test_validate_respecting_without_triangulation(hub_instance, square_diag):
+    d = realize(sketch_linear(hub_instance, square_diag), square_diag)
+    square = square_diag.polygon
+    # off the triangulation's simplices but inside the polygon: fine without
+    # a triangulation, rejected with one
+    moved = dict(d.positions)
+    moved[4] = Point2(Fraction(1), Fraction(7, 2))
+    assert validate_respecting(Drawing(positions=moved), hub_instance,
+                               square).ok
+    assert not validate_respecting(Drawing(positions=moved), hub_instance,
+                                   square, square_diag).ok
+    # outside the polygon: every edge at the hub is reported
+    moved[4] = pt(9, 9)
+    rep = validate_respecting(Drawing(positions=moved), hub_instance, square)
+    assert rep.failures == tuple(
+        f"edge ({c},4) has an endpoint outside the polygon" for c in range(4))
+
+
 def test_is_sketch_rejects_bad_assignments(hub_instance, square_diag):
     good = delta(hub_instance, square_diag)
     bad = dict(good)
@@ -97,7 +116,7 @@ def test_is_sketch_rejects_bad_assignments(hub_instance, square_diag):
 
 def test_lambda_maps_trivial_pocket(hub_instance, square_diag):
     edge = (0, 1)
-    lam = lambda_interior(edge, hub_instance, square_diag)
+    lam = PocketMaps(hub_instance, square_diag).lam(edge)
     assert lam is not None
     assert lam[0] == (0,) and lam[1] == (1,)
     assert lam[4] == (0, 1)

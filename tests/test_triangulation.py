@@ -74,3 +74,13 @@ def test_root_policy(unit_square):
     assert r0.root == 0 and r1.root == 1
     assert root_dual(tri, policy="ear").root in (0, 1)
     assert ear_triangles(tri)
+
+
+def test_split_ring_large_fan_without_recursion():
+    # a fan from vertex 0 nests one sub-polygon per ear; t=1500 is far past
+    # the interpreter's recursion limit
+    from polyext.triangulation import _split_ring
+    t = 1500
+    triangles = _split_ring(t, {(0, k) for k in range(2, t - 1)})
+    assert len(triangles) == t - 2
+    assert sorted(triangles) == [(0, k, k + 1) for k in range(1, t - 1)]
