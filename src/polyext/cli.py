@@ -14,8 +14,8 @@ import traceback
 from typing import Optional
 
 from . import jsonio
-from .conditions import (check_pair, check_triple, check_universality,
-                         PairViolation)
+from .conditions import (check_pair, check_universality, PairViolation,
+                         _first_triple_violation)
 from .geometry import SimplePolygon
 from .model import Instance, graph_distances
 from .sketch import sketch_linear, realize, validate_respecting
@@ -115,22 +115,23 @@ def _pick_violation(inst: Instance, kind: Optional[str]):
         if pair is not None:
             raise SchemaError(
                 "triple condition is undefined while the pair condition fails")
-        return check_triple(inst, dt)
+        return _first_triple_violation(inst, dt)
     if pair is not None:
         return pair
-    return check_triple(inst, dt)
+    return _first_triple_violation(inst, dt)
 
 
 def cmd_witness(args) -> int:
-    from .witness import build_witness, verify_witness
+    # build_witness certifies its polygon with the link-distance engine and
+    # raises WitnessError (exit 3) when the certificate fails, so the
+    # independent witness.verify_witness is left to the tests.
+    from .witness import build_witness
     inst = _load_instance(args.instance)
     violation = _pick_violation(inst, args.kind)
     if violation is None:
         _emit({"status": "universal", "note": "no witness exists"})
         return EXIT_NEGATIVE
     w = build_witness(inst, violation)
-    if not verify_witness(w.polygon, inst, violation):
-        raise RuntimeError("constructed witness failed verification")
     jsonio.save(args.output, jsonio.polygon_to_json(w.polygon))
     note_path = args.output + ".note.json"
     jsonio.save(note_path, jsonio.witness_note_to_json(w.note))

@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .conditions import TripleViolation
 from .geometry import Point2, SimplePolygon, PolygonError
-from .model import Instance, PlaneInstance, validate_instance
+from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
+                    graph_distances, validate_instance)
 from .triangulation import (Triangulation, root_dual, ear_clip,
                             validate_triangulation, _diagonal_ok, _interleave)
 from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
@@ -148,6 +150,41 @@ def delta(inst: Instance, tri: Triangulation,
         else:
             return None
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference triple check: every vertex against every tight triple.
+# ---------------------------------------------------------------------------
+
+def check_triple_reference(inst: Instance, dt: Optional[DistanceTable] = None
+                           ) -> Optional[TripleViolation]:
+    """The triple condition by its definition, in O(n·t³).
+
+    Tight triples are enumerated as the position triples whose pairwise
+    cycle distances sum to t; the first violation in scan order (v
+    ascending, then (i, j, k) lex) is returned.  Defined on any instance;
+    whenever the pair condition holds it must equal
+    ``conditions.check_triple``.
+    """
+    if dt is None:
+        dt = graph_distances(inst)
+    t = inst.t
+    tight = [(i, j, k) for i in range(t) for j in range(i + 1, t)
+             for k in range(j + 1, t)
+             if cycle_distance(t, i, j) + cycle_distance(t, j, k)
+             + cycle_distance(t, i, k) == t]
+    for v in range(inst.n):
+        for i, j, k in tight:
+            if v in (inst.cycle[i], inst.cycle[j], inst.cycle[k]):
+                continue
+            di = dt.from_position(i)[v]
+            dj = dt.from_position(j)[v]
+            dk = dt.from_position(k)[v]
+            if di is None or dj is None or dk is None:
+                continue
+            if 2 * (di + dj + dk) <= t:
+                return TripleViolation(i + 1, j + 1, k + 1, v, di, dj, dk)
+    return None
 
 
 def _bfs_order(inst: Instance) -> list[int]:

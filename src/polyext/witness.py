@@ -3,8 +3,11 @@
 A pair violation yields a rectangular spiral whose core-to-mouth link
 distance exceeds the graph distance; a triple violation yields a pinwheel
 chamber with three spiral arms whose link balls have pairwise nonempty but
-triple-empty intersection.  Every construction is re-verified by the exact
-link-distance engine before being returned.
+triple-empty intersection.  Every construction is certified by the exact
+link-distance engine before being returned and raises WitnessError when the
+certificate fails, so callers need no second check.  ``verify_witness``
+recomputes the obstruction from the polygon and the violation alone; it is
+the independent check the tests use.
 """
 from __future__ import annotations
 

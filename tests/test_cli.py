@@ -29,13 +29,8 @@ def workdir(tmp_path, hub_instance, unit_square, square_diag):
     return paths
 
 
-def test_check_universal(workdir, capsys):
-    assert main(["check", workdir["instance"]]) == EXIT_POSITIVE
-    out = json.loads(capsys.readouterr().out)
-    assert out["status"] == "universal"
-
-
-def test_check_violation(tmp_path, capsys):
+def _chord_instance(tmp_path):
+    """A 6-cycle with one antipodal chord (a pair violation), on disk."""
     inst = Instance(n=6,
                     edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
                            (0, 3)],
@@ -43,7 +38,17 @@ def test_check_violation(tmp_path, capsys):
     p = str(tmp_path / "chord.json")
     with open(p, "w") as fh:
         fh.write(dumps(instance_to_json(inst)))
-    assert main(["check", p]) == EXIT_NEGATIVE
+    return p
+
+
+def test_check_universal(workdir, capsys):
+    assert main(["check", workdir["instance"]]) == EXIT_POSITIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "universal"
+
+
+def test_check_violation(tmp_path, capsys):
+    assert main(["check", _chord_instance(tmp_path)]) == EXIT_NEGATIVE
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "not-universal"
     assert out["violation"]["kind"] == "pair"
@@ -162,14 +167,14 @@ def test_draw_planar_square_pair(workdir, capsys):
     assert rc == EXIT_POSITIVE
 
 
-def test_witness_roundtrip(tmp_path, capsys):
-    inst = Instance(n=6,
-                    edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
-                           (0, 3)],
-                    cycle=[0, 1, 2, 3, 4, 5])
-    p = str(tmp_path / "chord.json")
-    with open(p, "w") as fh:
-        fh.write(dumps(instance_to_json(inst)))
+def test_witness_roundtrip(tmp_path, monkeypatch, capsys):
+    import polyext.witness as witness
+
+    def not_called(*args):
+        raise AssertionError("the CLI re-verified a certified witness")
+
+    monkeypatch.setattr(witness, "verify_witness", not_called)
+    p = _chord_instance(tmp_path)
     out_path = str(tmp_path / "witness.json")
     rc = main(["witness", p, "-o", out_path])
     assert rc == EXIT_POSITIVE
@@ -181,6 +186,18 @@ def test_witness_roundtrip(tmp_path, capsys):
     rc = main(["draw", p, out_path, "-o", draw_out])
     assert rc == EXIT_NEGATIVE
     capsys.readouterr()
+
+
+def test_witness_certificate_failure_is_internal(tmp_path, monkeypatch,
+                                                 capsys):
+    import polyext.witness as witness
+    monkeypatch.setattr(witness, "link_distance", lambda *args: 1)
+    rc = main(["witness", _chord_instance(tmp_path),
+               "-o", str(tmp_path / "witness.json")])
+    assert rc == EXIT_INTERNAL
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "internal-error"
+    assert out["error"].startswith("WitnessError: spiral failed verification")
 
 
 def test_witness_on_universal_instance(workdir, capsys):

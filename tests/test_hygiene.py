@@ -6,6 +6,8 @@
   as an internal error (exit 3).
 - No floats outside ``svg.py``: neither the name ``float`` nor a float
   literal.  Exact arithmetic stops only at the presentation layer.
+- Only ``oracle.py`` itself names ``oracle`` in an import: the slow
+  reference routes there are for tests, never for the production pipeline.
 """
 import ast
 import os
@@ -58,3 +60,25 @@ def test_no_floats_outside_svg(name):
              or (isinstance(node, ast.Constant)
                  and isinstance(node.value, float))]
     assert found == [], f"{name}: floats at lines {found}"
+
+
+def _imports_oracle(tree):
+    """Lines of every import that reaches ``polyext.oracle``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("oracle" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "oracle.py"])
+def test_production_never_imports_oracle(name):
+    found = _imports_oracle(_tree(name))
+    assert found == [], f"{name}: imports oracle at lines {found}"
