@@ -122,11 +122,9 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2):
 
 def segments_properly_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     """True iff open segments ab and cd cross at a single transversal point."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    if orient(a, b, c) * orient(a, b, d) >= 0:
+        return False
+    return orient(c, d, a) * orient(c, d, b) < 0
 
 
 def point_in_triangle(p: Point2, a: Point2, b: Point2, c: Point2) -> str:

@@ -637,6 +637,11 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
     pos: dict[int, Point2] = {v: polygon.points[p]
                               for p, v in enumerate(inst.cycle)}
     cur = minimal
+    # Each contraction or strip step is checked locally (_locally_valid),
+    # which is exact only on top of a valid drawing; the first such step is
+    # checked in full to give it one.  Augmentation steps open the journal,
+    # so they replay after every contraction and strip.
+    valid_base = False
     for step in reversed(journal):
         if isinstance(step, ContractedEdge):
             pos = _undo_contraction(step, cur, pos, polygon, eps)
@@ -644,17 +649,22 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
         elif isinstance(step, StrippedTriangle):
             pos = _undo_strip(step, cur, pos, polygon, eps)
             cur = step.snapshot
+            if valid_base and not _locally_valid(pos, cur.instance, polygon,
+                                                 step.sub_vertices[3:]):
+                raise _ReplayFailure("re-inserted interior breaks the drawing")
         elif isinstance(step, AddedVertex):
             # augmentation ids were appended past the original range
             pos.pop(step.v, None)
-        elif isinstance(step, AddedEdge):
-            pass
-        if isinstance(step, (ContractedEdge, StrippedTriangle)):
+            continue
+        else:  # AddedEdge: nothing to place
+            continue
+        if not valid_base:
             d = Drawing(positions=dict(pos))
             if not validate_planar(d, cur.instance):
                 raise _ReplayFailure("intermediate drawing not planar")
             if not validate_respecting(d, cur.instance, polygon).ok:
                 raise _ReplayFailure("intermediate drawing leaves the polygon")
+            valid_base = True
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
@@ -662,6 +672,42 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
     if not validate_respecting(drawing, original, polygon).ok:
         raise _ReplayFailure("final drawing leaves the polygon")
     return drawing
+
+
+def _locally_valid(pos: dict[int, Point2], inst: Instance,
+                   polygon: SimplePolygon, fresh: list[int]) -> bool:
+    """Whether placing the `fresh` vertices keeps a drawing planar and
+    polygon-respecting, given that it was both without them.
+
+    Every other vertex keeps its position and every edge not at a fresh
+    vertex was an edge of that drawing, so only the pairs involving a fresh
+    vertex or a fresh edge can fail; on top of a valid drawing this is
+    exactly validate_planar and validate_respecting.
+    """
+    fresh = set(fresh)
+    placed = {pos[v] for v in fresh}
+    if len(placed) != len(fresh) or any(
+            p in placed for w, p in pos.items() if w not in fresh):
+        return False
+    new_edges = [e for e in inst.edges if e[0] in fresh or e[1] in fresh]
+    for a, b in new_edges:
+        pa, pb = pos[a], pos[b]
+        for c, d in inst.edges:
+            if segments_properly_cross(pa, pb, pos[c], pos[d]):
+                return False
+        for v in range(inst.n):
+            if v not in (a, b) and point_on_segment(pos[v], pa, pb):
+                return False
+    for a, b in inst.edges:
+        if a in fresh or b in fresh:
+            continue
+        for v in fresh:
+            if point_on_segment(pos[v], pos[a], pos[b]):
+                return False
+    # every cycle vertex pinned and every fresh edge inside the polygon
+    fresh_part = Instance(n=inst.n, edges=new_edges, cycle=inst.cycle)
+    return validate_respecting(Drawing(positions=pos), fresh_part,
+                               polygon).ok
 
 
 def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
@@ -700,9 +746,7 @@ def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
                 ln = abs(direction.x) + abs(direction.y)
                 cand = dict(new_pos)
                 cand[v] = zp + direction.scale(dist / ln)
-                d = Drawing(positions=cand)
-                if validate_planar(d, before.instance) and validate_respecting(
-                        d, before.instance, polygon).ok:
+                if _locally_valid(cand, before.instance, polygon, [v]):
                     return cand
     raise _ReplayFailure(f"could not split vertex {v} off {z}")
 

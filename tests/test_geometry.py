@@ -45,6 +45,27 @@ def test_properly_cross_excludes_touching():
     assert not segments_properly_cross(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 1))
 
 
+def test_properly_cross_matches_four_orientations_on_grid():
+    # every pair of segments with endpoints on the 4x4 integer grid, degenerate
+    # segments included, against the four-orientation definition in ints
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    points = {q: pt(*q) for q in grid}
+
+    def sign(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return (v > 0) - (v < 0)
+
+    for a in grid:
+        for b in grid:
+            for c in grid:
+                for d in grid:
+                    want = (sign(a, b, c) * sign(a, b, d) < 0
+                            and sign(c, d, a) * sign(c, d, b) < 0)
+                    got = segments_properly_cross(points[a], points[b],
+                                                  points[c], points[d])
+                    assert got == want, (a, b, c, d)
+
+
 def test_point_in_triangle_classification():
     a, b, c = pt(0, 0), pt(4, 0), pt(0, 4)
     assert point_in_triangle(pt(1, 1), a, b, c) == INTERIOR

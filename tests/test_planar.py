@@ -1,16 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import polyext.planar as planar
 from polyext.geometry import SimplePolygon, pt, point_in_polygon, OUTSIDE
 from polyext.model import Instance, PlaneInstance, validate_plane_instance
-from polyext.jsonio import load, plane_instance_from_json
+from polyext.jsonio import dumps, drawing_to_json, load, plane_instance_from_json
 from polyext.triangulation import ear_clip, root_dual
 from polyext.oracle import random_plane_instance, random_polygon
 from polyext.planar import (minimize, accommodate, validate_planar,
-                            NotSketchableError, ContractedEdge,
+                            NotSketchableError, PlanarError, ContractedEdge,
                             StrippedTriangle)
-from polyext.sketch import validate_respecting
+from polyext.sketch import Drawing, validate_respecting
 
 from conftest import fixture_path, suite_seed
 
@@ -26,6 +28,13 @@ def wheel_plane(t):
 def square_pair_plane():
     return plane_instance_from_json(
         load(fixture_path("square_pair_plane_instance.json")))
+
+
+def assert_golden(drawing, name):
+    # drawings recorded from whole-drawing checks of every replay step; the
+    # local checks must accept exactly the candidates those accepted
+    with open(fixture_path(f"planar_golden_{name}.json")) as fh:
+        assert dumps(drawing_to_json(drawing)) == fh.read()
 
 
 def test_minimize_wheel():
@@ -61,6 +70,7 @@ def test_accommodate_square_pair():
     assert validate_respecting(d, plane.instance, sq).ok
     for v in range(plane.instance.n):
         assert point_in_polygon(d.positions[v], sq) != OUTSIDE
+    assert_golden(d, "square_pair")
 
 
 def test_accommodate_wheel_various_polygons():
@@ -70,10 +80,12 @@ def test_accommodate_wheel_various_polygons():
     pent = SimplePolygon([pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5), pt(-1, 3)])
     nonconvex = SimplePolygon([pt(0, 0), pt(6, 0), pt(6, 4), pt(3, 1),
                                pt(0, 4)])
-    for poly in (pent, nonconvex):
+    for poly, name in ((pent, "wheel5_pentagon"),
+                       (nonconvex, "wheel5_nonconvex")):
         d = accommodate(plane, poly)
         assert validate_planar(d, plane.instance)
         assert validate_respecting(d, plane.instance, poly).ok
+        assert_golden(d, name)
 
 
 def test_not_sketchable_raises():
@@ -121,3 +133,114 @@ def test_sketch_failure_is_not_a_verdict(monkeypatch):
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     with pytest.raises(RuntimeError, match="sketch route crashed"):
         minimize(square_pair_plane(), root_dual(ear_clip(sq)))
+
+
+def test_local_check_matches_full_check(monkeypatch):
+    # each local check runs on top of a valid drawing (the minimal one, or
+    # one accepted before), so its verdict must equal the full verdict
+    seen = []
+    local = planar._locally_valid
+
+    def spy(pos, inst, polygon, fresh):
+        verdict = local(pos, inst, polygon, fresh)
+        d = Drawing(positions=dict(pos))
+        full = (validate_planar(d, inst)
+                and validate_respecting(d, inst, polygon).ok)
+        seen.append((verdict, full))
+        return verdict
+
+    monkeypatch.setattr(planar, "_locally_valid", spy)
+    rng = random.Random(suite_seed())
+    done = 0
+    for _ in range(400):
+        t = rng.randint(3, 5)
+        plane = random_plane_instance(rng, t=t, extra=rng.randint(0, 2))
+        poly = random_polygon(rng, t)
+        try:
+            accommodate(plane, poly)
+        except NotSketchableError:
+            continue
+        done += 1
+        if done == 100:
+            break
+    assert done == 100
+    assert {verdict for verdict, _ in seen} == {True, False}
+    assert all(verdict == full for verdict, full in seen)
+
+
+NOTCHED = SimplePolygon([pt(0, 0), pt(6, 0), pt(6, 4), pt(3, 1), pt(0, 4)])
+NOTCH_CYCLE = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("placed, edges, fresh, ok", [
+    # a fresh vertex under the notch joined to two corners
+    ({5: (3, HALF)}, [(0, 5), (1, 5)], [5], True),
+    ({5: (3, 0)}, [(3, 5)], [5], False),
+    ({5: (3, HALF)}, [(0, 3), (4, 5)], [5], False),
+    # the fresh vertex sits in the notch; its edge to the notch corner
+    # leaves the polygon without touching any other edge or vertex
+    ({5: (3, 3)}, [(3, 5)], [5], False),
+    # an isolated old vertex, so only the coincidence is wrong
+    ({5: (3, HALF), 6: (3, HALF)}, [], [6], False),
+    ({5: (Fraction(9, 2), Fraction(3, 2))}, [(0, 5)], [5], False),
+    ({4: (0, 3)}, [], [4], False),
+], ids=["control", "vertex-on-old-edge", "edge-crosses-old-edge",
+        "edge-leaves-polygon", "coincides-with-old-vertex",
+        "edge-through-old-vertex", "cycle-vertex-off-pin"])
+def test_local_check_rejects_planted_faults(placed, edges, fresh, ok):
+    pos = dict(enumerate(NOTCHED.points))
+    pos.update({v: pt(*xy) for v, xy in placed.items()})
+    inst = Instance(n=len(pos), edges=NOTCH_CYCLE + edges,
+                    cycle=[0, 1, 2, 3, 4])
+    assert planar._locally_valid(pos, inst, NOTCHED, fresh) is ok
+    d = Drawing(positions=pos)
+    assert (validate_planar(d, inst)
+            and validate_respecting(d, inst, NOTCHED).ok) is ok
+
+
+def test_replay_checks_in_full_at_most_twice(monkeypatch):
+    # one full check gives the local checks a valid base, one guards the
+    # output; every other step is checked locally
+    calls = {"replay": 0, "full": 0}
+    replay, full = planar._replay, planar.validate_planar
+
+    def count_replay(*args):
+        calls["replay"] += 1
+        return replay(*args)
+
+    def count_full(*args):
+        calls["full"] += 1
+        return full(*args)
+
+    monkeypatch.setattr(planar, "_replay", count_replay)
+    monkeypatch.setattr(planar, "validate_planar", count_full)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    accommodate(square_pair_plane(), sq)
+    assert calls["replay"] >= 1
+    assert calls["full"] <= 2 * calls["replay"]
+
+
+def test_final_check_guards_the_output(monkeypatch):
+    # with the local check accepting anything, a split that lands on its own
+    # vertex after the first step must still be refused by the final check
+    undo = planar._undo_contraction
+    undone = []
+
+    plane = square_pair_plane()
+    misplaced = []
+
+    def misplace(step, cur, pos, polygon, eps):
+        new_pos = undo(step, cur, pos, polygon, eps)
+        if step.snapshot.instance.n == plane.instance.n:
+            # the last contraction replayed (the first one made)
+            new_pos[step.v] = new_pos[step.z]
+            misplaced.append(step)
+        return new_pos
+
+    monkeypatch.setattr(planar, "_locally_valid", lambda *args: True)
+    monkeypatch.setattr(planar, "_undo_contraction", misplace)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    with pytest.raises(PlanarError, match="final drawing not planar"):
+        accommodate(plane, sq)
+    assert misplaced
