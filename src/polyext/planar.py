@@ -540,18 +540,20 @@ def validate_planar(drawing: Drawing, inst: Instance) -> bool:
     if len({(p.x, p.y) for p in pos.values()}) != len(pos):
         return False
     edges = [tuple(sorted(e)) for e in inst.edges]
-    for i, (a, b) in enumerate(edges):
-        pa, pb = pos[a], pos[b]
-        for c, d in edges[i + 1:]:
-            pc, pd = pos[c], pos[d]
-            if segments_properly_cross(pa, pb, pc, pd):
-                return False
-        for v in range(inst.n):
-            if v in (a, b):
-                continue
-            if point_on_segment(pos[v], pa, pb):
-                return False
-    return True
+    return not any(_edge_blocked(pos, a, b, edges[i + 1:], inst.n)
+                   for i, (a, b) in enumerate(edges))
+
+
+def _edge_blocked(pos: dict[int, Point2], a: int, b: int,
+                  edges: list[tuple[int, int]], n: int) -> bool:
+    """Whether edge ab properly crosses one of `edges` or runs through one
+    of the vertices 0..n-1 other than its ends."""
+    pa, pb = pos[a], pos[b]
+    for c, d in edges:
+        if segments_properly_cross(pa, pb, pos[c], pos[d]):
+            return True
+    return any(v not in (a, b) and point_on_segment(pos[v], pa, pb)
+               for v in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +639,8 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
     pos: dict[int, Point2] = {v: polygon.points[p]
                               for p, v in enumerate(inst.cycle)}
     cur = minimal
-    # Each contraction or strip step is checked locally (_locally_valid),
-    # which is exact only on top of a valid drawing; the first such step is
-    # checked in full to give it one.  Augmentation steps open the journal,
-    # so they replay after every contraction and strip.
-    valid_base = False
+    # the minimal drawing is the validated triangulation, so every local
+    # check (_locally_valid) starts from a valid drawing
     for step in reversed(journal):
         if isinstance(step, ContractedEdge):
             pos = _undo_contraction(step, cur, pos, polygon, eps)
@@ -649,22 +648,12 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
         elif isinstance(step, StrippedTriangle):
             pos = _undo_strip(step, cur, pos, polygon, eps)
             cur = step.snapshot
-            if valid_base and not _locally_valid(pos, cur.instance, polygon,
-                                                 step.sub_vertices[3:]):
+            if not _locally_valid(pos, cur.instance, polygon,
+                                  step.sub_vertices[3:]):
                 raise _ReplayFailure("re-inserted interior breaks the drawing")
         elif isinstance(step, AddedVertex):
             # augmentation ids were appended past the original range
             pos.pop(step.v, None)
-            continue
-        else:  # AddedEdge: nothing to place
-            continue
-        if not valid_base:
-            d = Drawing(positions=dict(pos))
-            if not validate_planar(d, cur.instance):
-                raise _ReplayFailure("intermediate drawing not planar")
-            if not validate_respecting(d, cur.instance, polygon).ok:
-                raise _ReplayFailure("intermediate drawing leaves the polygon")
-            valid_base = True
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
@@ -690,14 +679,9 @@ def _locally_valid(pos: dict[int, Point2], inst: Instance,
             p in placed for w, p in pos.items() if w not in fresh):
         return False
     new_edges = [e for e in inst.edges if e[0] in fresh or e[1] in fresh]
-    for a, b in new_edges:
-        pa, pb = pos[a], pos[b]
-        for c, d in inst.edges:
-            if segments_properly_cross(pa, pb, pos[c], pos[d]):
-                return False
-        for v in range(inst.n):
-            if v not in (a, b) and point_on_segment(pos[v], pa, pb):
-                return False
+    if any(_edge_blocked(pos, a, b, inst.edges, inst.n)
+           for a, b in new_edges):
+        return False
     for a, b in inst.edges:
         if a in fresh or b in fresh:
             continue

@@ -199,34 +199,36 @@ def test_local_check_rejects_planted_faults(placed, edges, fresh, ok):
             and validate_respecting(d, inst, NOTCHED).ok) is ok
 
 
-def test_replay_checks_in_full_at_most_twice(monkeypatch):
-    # one full check gives the local checks a valid base, one guards the
-    # output; every other step is checked locally
-    calls = {"replay": 0, "full": 0}
+def test_replay_checks_in_full_once(monkeypatch):
+    # only the final check of each replay is a full one; every journal step
+    # is checked locally.  Strip steps replay nested accommodate calls, so
+    # each _replay call counts on its own frame.
+    frames, replays = [], []
     replay, full = planar._replay, planar.validate_planar
 
     def count_replay(*args):
-        calls["replay"] += 1
-        return replay(*args)
+        frames.append(0)
+        try:
+            return replay(*args)
+        finally:
+            replays.append(frames.pop())
 
     def count_full(*args):
-        calls["full"] += 1
+        frames[-1] += 1
         return full(*args)
 
     monkeypatch.setattr(planar, "_replay", count_replay)
     monkeypatch.setattr(planar, "validate_planar", count_full)
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     accommodate(square_pair_plane(), sq)
-    assert calls["replay"] >= 1
-    assert calls["full"] <= 2 * calls["replay"]
+    assert replays
+    assert all(n <= 1 for n in replays)
 
 
 def test_final_check_guards_the_output(monkeypatch):
     # with the local check accepting anything, a split that lands on its own
-    # vertex after the first step must still be refused by the final check
+    # vertex must still be refused by the final check
     undo = planar._undo_contraction
-    undone = []
-
     plane = square_pair_plane()
     misplaced = []
 
