@@ -218,11 +218,6 @@ def is_simple_polygon(points: Sequence[Point2]) -> bool:
     return True
 
 
-def point_in_polygon(q: Point2, poly: SimplePolygon) -> str:
-    """Locate q relative to the closed region bounded by poly."""
-    return point_in_ring(q, poly.points)
-
-
 def point_in_ring(q: Point2, pts: Sequence[Point2]) -> str:
     """Point location against a raw ccw vertex ring (no simplicity check)."""
     n = len(pts)
@@ -245,43 +240,49 @@ class EndpointOutsideError(ValueError):
     pass
 
 
-def _param_along(p: Point2, a: Point2, b: Point2) -> Fraction:
-    d = b - a
-    if abs(d.x) >= abs(d.y):
-        return (p.x - a.x) / d.x
-    return (p.y - a.y) / d.y
+def param_along(p: Point2, origin: Point2, d: Point2) -> Fraction:
+    """The u with p == origin + u*d, for p on that line (d nonzero)."""
+    if d.x != 0:
+        return (p.x - origin.x) / d.x
+    return (p.y - origin.y) / d.y
 
 
-def segment_inside_polygon(a: Point2, b: Point2, poly: SimplePolygon) -> bool:
-    """True iff the closed segment ab stays within the closed polygon region.
+def segment_inside_ring(a: Point2, b: Point2, pts: Sequence[Point2]) -> bool:
+    """True iff the closed segment ab stays within the closed region bounded
+    by the ccw vertex ring pts.
 
-    Raises EndpointOutsideError when an endpoint is strictly outside; grazing
-    contact with the boundary (touching vertices, running along edges) is
-    allowed as long as the segment never enters the exterior.
+    The ring is not checked for simplicity: collinear subdivision points and
+    degenerate boundary contacts are fine.  Raises EndpointOutsideError when
+    an endpoint is strictly outside; grazing contact with the boundary
+    (touching vertices, running along edges) is allowed as long as the
+    segment never enters the exterior.
     """
-    la = point_in_polygon(a, poly)
-    lb = point_in_polygon(b, poly)
-    if la == OUTSIDE or lb == OUTSIDE:
+    if point_in_ring(a, pts) == OUTSIDE or point_in_ring(b, pts) == OUTSIDE:
         raise EndpointOutsideError("segment endpoint outside polygon")
     if a == b:
         return True
+    d = b - a
     params = {Fraction(0), Fraction(1)}
-    for c, d in poly.edges():
-        hit = segment_intersection(a, b, c, d)
+    n = len(pts)
+    for i in range(n):
+        hit = segment_intersection(a, b, pts[i], pts[(i + 1) % n])
         if hit is None:
             continue
         if hit[0] == "point":
-            params.add(_param_along(hit[1], a, b))
+            params.add(param_along(hit[1], a, d))
         else:
-            params.add(_param_along(hit[1][0], a, b))
-            params.add(_param_along(hit[1][1], a, b))
+            params.add(param_along(hit[1][0], a, d))
+            params.add(param_along(hit[1][1], a, d))
     cuts = sorted(u for u in params if 0 <= u <= 1)
-    d = b - a
     for u1, u2 in zip(cuts, cuts[1:]):
-        mid = a + d.scale((u1 + u2) / 2)
-        if point_in_polygon(mid, poly) == OUTSIDE:
+        if point_in_ring(a + d.scale((u1 + u2) / 2), pts) == OUTSIDE:
             return False
     return True
+
+
+def segment_inside_polygon(a: Point2, b: Point2, poly: SimplePolygon) -> bool:
+    """segment_inside_ring against the polygon's vertex ring."""
+    return segment_inside_ring(a, b, poly.points)
 
 
 def primitive_direction(v: Point2) -> tuple[int, int]:

@@ -121,8 +121,9 @@ def polygon_to_json(poly: SimplePolygon) -> dict:
 
 
 def polygon_from_json(data: Any) -> SimplePolygon:
-    if not isinstance(data, dict) or "points" not in data:
-        raise SchemaError("polygon document must be an object with points")
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise SchemaError("polygon document must be an object with a list "
+                          "of points")
     pts = [point_from_json(v) for v in data["points"]]
     if len(pts) >= 3 and signed_area2(pts) < 0:
         pts = list(reversed(pts))  # accept clockwise input
@@ -157,7 +158,7 @@ def triangulation_from_json(data: Any, poly: SimplePolygon) -> Triangulation:
         return root_dual(tri, policy="ear")
     try:
         return root_dual(tri, policy=int(root))
-    except (ValueError, TriangulationError) as exc:
+    except (TypeError, ValueError, TriangulationError) as exc:
         raise SchemaError(f"bad root: {exc}") from exc
 
 
@@ -178,11 +179,14 @@ def _simplex_from_json(data: Any) -> tuple[int, ...]:
         raw = data["id"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad simplex record: {exc}") from exc
-    ids = [raw] if isinstance(raw, int) else list(raw)
+    ids = [raw] if isinstance(raw, int) else raw
     want = {"vertex": 1, "edge": 2, "triangle": 3}.get(kind)
-    if want is None or len(ids) != want:
+    if want is None or not isinstance(ids, list) or len(ids) != want:
         raise SchemaError(f"bad simplex record {data!r}")
-    return tuple(sorted(int(i) - 1 for i in ids))
+    try:
+        return tuple(sorted(int(i) - 1 for i in ids))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad simplex record {data!r}: {exc}") from exc
 
 
 def drawing_to_json(drawing: Drawing) -> dict:
@@ -204,8 +208,11 @@ def drawing_from_json(data: Any) -> Drawing:
         raise SchemaError(f"bad positions: {exc}") from exc
     simplex = None
     if "simplex" in data:
-        simplex = {int(v): _simplex_from_json(s)
-                   for v, s in data["simplex"].items()}
+        try:
+            simplex = {int(v): _simplex_from_json(s)
+                       for v, s in data["simplex"].items()}
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"bad simplex field: {exc}") from exc
     return Drawing(positions=positions, simplex=simplex)
 
 

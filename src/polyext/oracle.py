@@ -8,13 +8,16 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .conditions import TripleViolation
-from .geometry import Point2, SimplePolygon, PolygonError
+from .geometry import (Point2, SimplePolygon, PolygonError, OUTSIDE,
+                       EndpointOutsideError, point_in_ring,
+                       segment_inside_polygon, segment_intersection)
 from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
                     graph_distances, validate_instance)
 from .triangulation import (Triangulation, root_dual, ear_clip,
                             validate_triangulation, _diagonal_ok, _interleave)
 from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
                      _check_rooted)
+from .visibility import Ring, VisibilityError, link_rings, visibility_polygon
 
 
 class OracleLimit(RuntimeError):
@@ -185,6 +188,51 @@ def check_triple_reference(inst: Instance, dt: Optional[DistanceTable] = None
             if 2 * (di + dj + dk) <= t:
                 return TripleViolation(i + 1, j + 1, k + 1, v, di, dj, dk)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference link distance: a pointwise test against the ball grown from b.
+# ---------------------------------------------------------------------------
+
+def link_distance_pointwise(poly: SimplePolygon, a: Point2, b: Point2,
+                            max_depth: int = 16) -> Optional[int]:
+    """Independent oracle: grow the ball from b instead and test a pointwise
+    at each depth via direct segment visibility to the current region."""
+    try:
+        if segment_inside_polygon(a, b, poly):
+            return 1
+    except EndpointOutsideError:
+        raise VisibilityError("query point outside polygon")
+    for depth, ring in enumerate(link_rings(poly, b), start=1):
+        if depth >= max_depth:
+            raise VisibilityError("pointwise search exceeded max depth")
+        # a is at distance depth+1 iff a sees some point of the depth ring.
+        if _point_sees_ring(poly, a, ring):
+            return depth + 1
+    return None
+
+
+def _point_sees_ring(poly: SimplePolygon, a: Point2, ring: Ring) -> bool:
+    vis = visibility_polygon(poly, a)
+    return _rings_intersect(vis, ring)
+
+
+def _rings_intersect(r1: Ring, r2: Ring) -> bool:
+    """Exact nonemptiness of the intersection of two closed regions."""
+    for p in r1:
+        if point_in_ring(p, r2) != OUTSIDE:
+            return True
+    for p in r2:
+        if point_in_ring(p, r1) != OUTSIDE:
+            return True
+    n1, n2 = len(r1), len(r2)
+    for i in range(n1):
+        for j in range(n2):
+            hit = segment_intersection(r1[i], r1[(i + 1) % n1],
+                                       r2[j], r2[(j + 1) % n2])
+            if hit is not None:
+                return True
+    return False
 
 
 def _bfs_order(inst: Instance) -> list[int]:

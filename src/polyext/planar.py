@@ -96,8 +96,7 @@ class PlaneSurgeon:
         outer = list(reversed(self.cycle))
         out = []
         for f in self.faces():
-            walk = f
-            if len(walk) == len(outer) and _cyclic_equal(walk, outer):
+            if len(f) == len(outer) and _cyclic_equal(f, outer):
                 continue
             out.append(f)
         return out
@@ -111,11 +110,9 @@ class PlaneSurgeon:
     def add_edge_in_face(self, face: list[int], su: int, sv: int):
         """Add edge between the face-walk positions su and sv (indices into
         the closed walk), splitting the face."""
-        walk = face
-        k = len(walk)
-        u, v = walk[su], walk[sv]
-        u_prev = walk[su - 1]
-        v_prev = walk[sv - 1]
+        u, v = face[su], face[sv]
+        u_prev = face[su - 1]
+        v_prev = face[sv - 1]
         e = tuple(sorted((u, v)))
         if e in self.edges:
             raise PlanarError(f"edge {e} already present")
@@ -126,13 +123,12 @@ class PlaneSurgeon:
     def add_vertex_in_face(self, face: list[int], anchor: int):
         """Add a pendant vertex inside the face, attached to `anchor` (a
         vertex of the face walk)."""
-        walk = face
-        s = walk.index(anchor)
+        s = face.index(anchor)
         w = self.n
         self.n += 1
         self.edges.add(tuple(sorted((anchor, w))))
         self.rot[w] = [anchor]
-        self._insert_in_corner(anchor, walk[s - 1], w)
+        self._insert_in_corner(anchor, face[s - 1], w)
         return w
 
     def delete_vertices(self, vs: set[int]):
@@ -180,19 +176,10 @@ class PlaneSurgeon:
                 rw.remove(v)
             else:
                 rw[rw.index(v)] = u
-        del self.rot[v]
-        self.edges = {e for e in self.edges if v not in e}
         for w in rv:
             if w != u:
                 self.edges.add(tuple(sorted((u, w))))
-        # relabel to keep ids dense
-        keep = [w for w in range(self.n) if w != v]
-        remap = {old: new for new, old in enumerate(keep)}
-        self.edges = {tuple(sorted((remap[a], remap[b]))) for a, b in self.edges}
-        self.cycle = [remap[c] for c in self.cycle]
-        self.rot = {remap[w]: [remap[s] for s in ns]
-                    for w, ns in self.rot.items()}
-        self.n -= 1
+        remap = self.delete_vertices({v})   # drops v's edges, keeps ids dense
         return remap[x], remap[y]
 
 
@@ -227,21 +214,9 @@ def augment_triangulated(plane: PlaneInstance, tri: Triangulation
     _double_cycle_faces(s, tri, journal)
     out = s.plane
     _assert_valid(out)
-    for f in _interior_faces_of(out):
-        if len(f) != 3:
-            raise PlanarError("augmentation left a non-triangular face")
+    if any(len(f) != 3 for f in s.interior_faces()):
+        raise PlanarError("augmentation left a non-triangular face")
     return out, journal
-
-
-def _interior_faces_of(plane: PlaneInstance) -> list[list[int]]:
-    outer = list(reversed(plane.instance.cycle))
-    out = []
-    for f in trace_faces(plane.rotation):
-        walk = f
-        if len(walk) == len(outer) and _cyclic_equal(walk, outer):
-            continue
-        out.append(f)
-    return out
 
 
 def _connect_components(s: PlaneSurgeon, journal: list[JournalStep]):
@@ -275,8 +250,7 @@ def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation,
         faces = [f for f in s.interior_faces() if len(f) > 3]
         if not faces:
             return
-        face = faces[0]
-        walk = face
+        walk = faces[0]
         k = len(walk)
         # one copy per walk occurrence, ring inside the face
         copies = list(range(s.n, s.n + k))
@@ -314,13 +288,12 @@ def _split_quad(s: PlaneSurgeon, va: int, vb: int, ub: int, ua: int,
             break
     if quad is None:
         raise PlanarError("doubled-cycle quad face not found")
-    walk = quad
     for p, q in ((ua, vb), (va, ub)):
         if tuple(sorted((p, q))) in s.edges:
             continue
         saved = copy.deepcopy((s.edges, s.rot))
         try:
-            s.add_edge_in_face(quad, walk.index(p), walk.index(q))
+            s.add_edge_in_face(quad, quad.index(p), quad.index(q))
         except (PlanarError, ValueError):
             s.edges, s.rot = saved
             continue
@@ -392,9 +365,8 @@ def find_separating_triangles(plane: PlaneInstance
     edge_set = {tuple(sorted(e)) for e in inst.edges}
     face_tris = set()
     for f in trace_faces(plane.rotation):
-        walk = f
-        if len(walk) == 3:
-            face_tris.add(tuple(sorted(walk)))
+        if len(f) == 3:
+            face_tris.add(tuple(sorted(f)))
     out = []
     for a in range(inst.n):
         for b in adj[a]:

@@ -5,20 +5,23 @@ angular sweep over critical directions; link balls grow breadth-first by
 expanding each window chord with a weak visibility region and splicing it
 into the ring.  Regions are kept as raw ccw vertex rings: they may contain
 collinear subdivision points and degenerate boundary contacts that the strict
-SimplePolygon validator would reject.
+SimplePolygon validator would reject.  Point location, segment containment
+and edge parameters on those rings use geometry's ring primitives
+(point_in_ring, segment_inside_ring, param_along).  link_rings yields the
+successive balls and is the one growth loop behind link_ball and
+link_distance.  The pointwise link-distance reference lives in oracle.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .geometry import (Point2, SimplePolygon, point_in_polygon, point_in_ring,
-                       point_on_segment, primitive_direction, angular_cmp,
-                       ccw_strictly_between, segment_intersection,
-                       segment_inside_polygon, orient, midpoint,
-                       BOUNDARY, OUTSIDE, EndpointOutsideError)
+from .geometry import (Point2, SimplePolygon, point_in_ring, point_on_segment,
+                       primitive_direction, angular_cmp, ccw_strictly_between,
+                       segment_intersection, segment_inside_ring, param_along,
+                       orient, midpoint, BOUNDARY, OUTSIDE)
 
 Ring = list[Point2]
 
@@ -72,26 +75,13 @@ def _first_hit_edge(q: Point2, d: Point2, edges: Sequence[tuple[Point2, Point2]]
     return best
 
 
-def _query_site(poly: SimplePolygon, q: Point2) -> Optional[tuple[int, bool]]:
-    """(edge index, is_vertex) for q on the boundary, else None."""
-    pts = poly.points
-    n = len(pts)
-    for i in range(n):
-        if q == pts[i]:
-            return i, True
-    for i in range(n):
-        if point_on_segment(q, pts[i], pts[(i + 1) % n]):
-            return i, False
-    return None
-
-
 def visibility_polygon(poly: SimplePolygon, q: Point2) -> Ring:
     """Exact visibility region of q, as a ccw ring (may contain collinear
     vertices)."""
-    loc = point_in_polygon(q, poly)
+    pts = poly.points
+    loc = point_in_ring(q, pts)
     if loc == OUTSIDE:
         raise VisibilityError("query point outside polygon")
-    pts = poly.points
     n = len(pts)
     edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
 
@@ -102,11 +92,11 @@ def visibility_polygon(poly: SimplePolygon, q: Point2) -> Ring:
     for ax in ((1, 0), (0, 1), (-1, 0), (0, -1)):
         dirs.add(ax)
 
-    site = _query_site(poly, q) if loc == BOUNDARY else None
+    site = _boundary_site(pts, q) if loc == BOUNDARY else None
     if site is not None:
-        i, is_vertex = site
+        i, s = site
         succ = pts[(i + 1) % n]
-        prec = pts[(i - 1) % n] if is_vertex else pts[i]
+        prec = pts[(i - 1) % n] if s == 0 else pts[i]
         d_start = primitive_direction(succ - q)
         d_end = primitive_direction(prec - q)
         kept = [d for d in dirs
@@ -133,9 +123,14 @@ def visibility_polygon(poly: SimplePolygon, q: Point2) -> Ring:
         for p in (entry, exit_):
             if not ring or ring[-1] != p:
                 ring.append(p)
+    return _normalize_ring(_open_ring(ring), poly)
+
+
+def _open_ring(ring: Ring) -> Ring:
+    """Drop trailing repeats of the ring's first point, in place."""
     while len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
-    return _normalize_ring(ring, poly)
+    return ring
 
 
 def _normalize_ring(ring: Ring, poly: SimplePolygon) -> Ring:
@@ -176,7 +171,7 @@ def ring_windows(ring: Ring, poly: SimplePolygon) -> list[int]:
 
 def _boundary_site(poly_pts: Sequence[Point2], p: Point2) -> tuple[int, Fraction]:
     """(edge index, param in [0,1)) locating p on the boundary; a vertex is
-    reported as the start of its outgoing edge."""
+    reported as the start of its outgoing edge, the only case with param 0."""
     n = len(poly_pts)
     for i in range(n):
         if p == poly_pts[i]:
@@ -184,9 +179,7 @@ def _boundary_site(poly_pts: Sequence[Point2], p: Point2) -> tuple[int, Fraction
     for i in range(n):
         u, v = poly_pts[i], poly_pts[(i + 1) % n]
         if point_on_segment(p, u, v):
-            d = v - u
-            s = ((p.x - u.x) / d.x) if d.x != 0 else ((p.y - u.y) / d.y)
-            return i, s
+            return i, param_along(p, u, v - u)
     raise VisibilityError("point not on polygon boundary")
 
 
@@ -242,52 +235,19 @@ def sees_chord(ring: Ring, x: Point2, w1: Point2, w2: Point2) -> bool:
         hit = segment_intersection(w1, w2, x, x + v.scale(reach / _seg_norm(v)))
         if hit is None:
             continue
-        pt_ = hit[1] if hit[0] == "point" else hit[1][0]
-        if d.x != 0:
-            params.add((pt_.x - w1.x) / d.x)
-        elif d.y != 0:
-            params.add((pt_.y - w1.y) / d.y)
+        params.add(param_along(hit[1] if hit[0] == "point" else hit[1][0],
+                               w1, d))
     ts = sorted(u for u in params if 0 <= u <= 1)
     cands = list(ts) + [(u1 + u2) / 2 for u1, u2 in zip(ts, ts[1:])]
-    for u in cands:
-        target = w1 + d.scale(u)
-        if _segment_inside_ring(x, target, ring):
-            return True
-    return False
+    # x lies on a ring edge and the chord is a ring edge, so no endpoint is
+    # ever outside the ring.
+    return any(segment_inside_ring(x, w1 + d.scale(u), ring) for u in cands)
 
 
 def _span(ring: Ring) -> int:
     xs = [p.x for p in ring]
     ys = [p.y for p in ring]
     return 1 + int(max(max(xs) - min(xs), max(ys) - min(ys)))
-
-
-def _segment_inside_ring(a: Point2, b: Point2, ring: Ring) -> bool:
-    """segment_inside_polygon against a raw ring (no simplicity validation)."""
-    if point_in_ring(a, ring) == OUTSIDE or point_in_ring(b, ring) == OUTSIDE:
-        return False
-    if a == b:
-        return True
-    d = b - a
-    params = {Fraction(0), Fraction(1)}
-    n = len(ring)
-    for i in range(n):
-        c, e = ring[i], ring[(i + 1) % n]
-        hit = segment_intersection(a, b, c, e)
-        if hit is None:
-            continue
-        hits = [hit[1]] if hit[0] == "point" else list(hit[1])
-        for h in hits:
-            if d.x != 0:
-                params.add((h.x - a.x) / d.x)
-            else:
-                params.add((h.y - a.y) / d.y)
-    cuts = sorted(u for u in params if 0 <= u <= 1)
-    for u1, u2 in zip(cuts, cuts[1:]):
-        mid = a + d.scale((u1 + u2) / 2)
-        if point_in_ring(mid, ring) == OUTSIDE:
-            return False
-    return True
 
 
 def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
@@ -316,10 +276,7 @@ def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
                     continue
                 hits = [hit[1]] if hit[0] == "point" else list(hit[1])
                 for h in hits:
-                    if d.x != 0:
-                        cuts.add((h.x - u.x) / d.x)
-                    else:
-                        cuts.add((h.y - u.y) / d.y)
+                    cuts.add(param_along(h, u, d))
         ts = sorted(c for c in cuts if 0 <= c <= 1)
         for t1, t2 in zip(ts, ts[1:]):
             mid = u + d.scale((t1 + t2) / 2)
@@ -329,9 +286,7 @@ def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
                 if out[-1] != p1:
                     out.append(p1)  # bridges a gap with a window chord
                 out.append(p2)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
+    return _open_ring(out)
 
 
 def _seg_norm(v: Point2) -> Fraction:
@@ -367,22 +322,28 @@ def _expand_once(poly: SimplePolygon, ring: Ring) -> Ring:
     for p in out:
         if not deduped or deduped[-1] != p:
             deduped.append(p)
-    while len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    return _normalize_ring(deduped, poly)
+    return _normalize_ring(_open_ring(deduped), poly)
+
+
+def link_rings(poly: SimplePolygon, a: Point2) -> Iterator[Ring]:
+    """The link balls around a as rings, depth 1, 2, ... in turn: the
+    visibility polygon of a, then one expansion per ring asked for.  Stops
+    at the fixpoint, when an expansion returns the same ring."""
+    ring = visibility_polygon(poly, a)
+    while True:
+        yield ring
+        nxt = _expand_once(poly, ring)
+        if nxt == ring:
+            return
+        ring = nxt
 
 
 def link_ball(poly: SimplePolygon, a: Point2, k: int) -> LinkRegion:
     if k < 1:
         raise ValueError("link ball depth must be >= 1")
-    ring = visibility_polygon(poly, a)
-    depth = 1
-    while depth < k:
-        nxt = _expand_once(poly, ring)
-        if nxt == ring:
+    for depth, ring in enumerate(link_rings(poly, a), start=1):
+        if depth == k:
             break
-        ring = nxt
-        depth += 1
     windows = [(ring[i], ring[(i + 1) % len(ring)])
                for i in ring_windows(ring, poly)]
     return LinkRegion(ring=ring, depth=k, windows=windows)
@@ -390,65 +351,15 @@ def link_ball(poly: SimplePolygon, a: Point2, k: int) -> LinkRegion:
 
 def link_distance(poly: SimplePolygon, a: Point2, b: Point2,
                   max_depth: int = 64) -> Optional[int]:
-    if point_in_polygon(a, poly) == OUTSIDE or point_in_polygon(b, poly) == OUTSIDE:
+    if point_in_ring(a, poly.points) == OUTSIDE \
+            or point_in_ring(b, poly.points) == OUTSIDE:
         raise VisibilityError("query point outside polygon")
-    ring = visibility_polygon(poly, a)
-    depth = 1
-    while depth <= max_depth:
+    for depth, ring in enumerate(link_rings(poly, a), start=1):
+        if depth > max_depth:
+            raise VisibilityError("link-distance search exceeded max depth")
         if point_in_ring(b, ring) != OUTSIDE:
             return depth
-        nxt = _expand_once(poly, ring)
-        if nxt == ring:
-            return None
-        ring = nxt
-        depth += 1
-    raise VisibilityError("link-distance search exceeded max depth")
-
-
-def link_distance_pointwise(poly: SimplePolygon, a: Point2, b: Point2,
-                            max_depth: int = 16) -> Optional[int]:
-    """Independent oracle: grow the ball from b instead and test a pointwise
-    at each depth via direct segment visibility to the current region."""
-    try:
-        if segment_inside_polygon(a, b, poly):
-            return 1
-    except EndpointOutsideError:
-        raise VisibilityError("query point outside polygon")
-    ring = visibility_polygon(poly, b)
-    depth = 1
-    while depth < max_depth:
-        # a is at distance depth+1 iff a sees some point of the depth ring.
-        if _point_sees_ring(poly, a, ring):
-            return depth + 1
-        nxt = _expand_once(poly, ring)
-        if nxt == ring:
-            return None
-        ring = nxt
-        depth += 1
-    raise VisibilityError("pointwise search exceeded max depth")
-
-
-def _point_sees_ring(poly: SimplePolygon, a: Point2, ring: Ring) -> bool:
-    vis = visibility_polygon(poly, a)
-    return _rings_intersect(vis, ring)
-
-
-def _rings_intersect(r1: Ring, r2: Ring) -> bool:
-    """Exact nonemptiness of the intersection of two closed regions."""
-    for p in r1:
-        if point_in_ring(p, r2) != OUTSIDE:
-            return True
-    for p in r2:
-        if point_in_ring(p, r1) != OUTSIDE:
-            return True
-    n1, n2 = len(r1), len(r2)
-    for i in range(n1):
-        for j in range(n2):
-            hit = segment_intersection(r1[i], r1[(i + 1) % n1],
-                                       r2[j], r2[(j + 1) % n2])
-            if hit is not None:
-                return True
-    return False
+    return None
 
 
 def triple_intersection_empty(r1: Ring, r2: Ring, r3: Ring) -> bool:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from polyext.geometry import (SimplePolygon, pt, Point2, point_in_polygon,
+from polyext.geometry import (SimplePolygon, pt, Point2, point_in_ring,
                               OUTSIDE)
 from polyext.model import Instance
 from polyext.conditions import (check_pair, check_triple, check_universality,
@@ -19,7 +19,7 @@ from polyext.conditions import (check_pair, check_triple, check_universality,
 from polyext.sketch import (sketch_linear, realize, validate_respecting,
                             SweepStats)
 from polyext.triangulation import ear_clip, root_dual
-from polyext.visibility import link_distance, link_distance_pointwise
+from polyext.visibility import link_distance
 from polyext.witness import build_witness, verify_witness, _spiral_ring
 from polyext.planar import (minimize, accommodate, validate_planar,
                             NotSketchableError)
@@ -28,7 +28,7 @@ from polyext.oracle import (delta, lambda_plus, enumerate_sketches,
                             enumerate_local_sketches, all_triangulations,
                             random_instance, random_universal_instance,
                             random_polygon, random_triangulation,
-                            random_plane_instance)
+                            random_plane_instance, link_distance_pointwise)
 from polyext.jsonio import load, instance_from_json, polygon_from_json
 from polyext.cli import main as cli_main, EXIT_POSITIVE
 
@@ -245,7 +245,7 @@ def test_criterion_7_planar_pipeline():
         assert validate_planar(d, plane.instance), plane
         assert validate_respecting(d, plane.instance, poly).ok, plane
         for v in range(plane.instance.n):
-            assert point_in_polygon(d.positions[v], poly) != OUTSIDE
+            assert point_in_ring(d.positions[v], poly.points) != OUTSIDE
         done += 1
     # the stored crossing-pair fixture yields a planar perturbed drawing
     from polyext.jsonio import plane_instance_from_json

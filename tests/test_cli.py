@@ -84,6 +84,37 @@ def test_malformed_instance_is_invalid_input(workdir, tmp_path, capsys,
     assert out["error"].startswith("bad instance:")
 
 
+# The hub instance drawn in the 4x4 square: the hub sits at the centre.
+_HUB_POSITIONS = {"0": ["0", "0"], "1": ["4", "0"], "2": ["4", "4"],
+                  "3": ["0", "4"], "4": ["2", "2"]}
+
+
+@pytest.mark.parametrize("kind,doc", [
+    ("polygon", {"points": 5}),
+    ("tri", {"diagonals": [[2, 4]], "root": None}),
+    ("tri", {"diagonals": [[2, 4]], "root": [1]}),
+    ("drawing", {"positions": _HUB_POSITIONS, "simplex": [1]}),
+    ("drawing", {"positions": _HUB_POSITIONS,
+                 "simplex": {"4": {"kind": "vertex", "id": "x"}}}),
+], ids=["polygon-points-not-a-list", "tri-root-null", "tri-root-list",
+        "drawing-simplex-not-an-object", "simplex-id-not-an-int"])
+def test_malformed_document_is_invalid_input(workdir, tmp_path, capsys, kind,
+                                             doc):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write(json.dumps(doc))
+    out_path = str(tmp_path / "d.json")
+    argv = {
+        "polygon": ["draw", workdir["instance"], bad, "-o", out_path],
+        "tri": ["draw", workdir["instance"], workdir["polygon"],
+                "--tri", bad, "-o", out_path],
+        "drawing": ["verify", bad, workdir["instance"], workdir["polygon"]],
+    }[kind]
+    assert main(argv) == EXIT_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "invalid-input"
+
+
 @pytest.mark.parametrize("where", ["key", "neighbour"])
 def test_rotation_naming_unknown_vertex_is_invalid_input(workdir, tmp_path,
                                                         capsys, where):

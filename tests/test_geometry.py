@@ -5,8 +5,9 @@ import pytest
 from polyext.geometry import (pt, Point2, orient, point_on_segment,
                               segment_intersection, segments_properly_cross,
                               point_in_triangle, INTERIOR, BOUNDARY, OUTSIDE,
-                              SimplePolygon, PolygonError, point_in_polygon,
-                              segment_inside_polygon, EndpointOutsideError,
+                              SimplePolygon, PolygonError, point_in_ring,
+                              segment_inside_polygon, segment_inside_ring,
+                              EndpointOutsideError,
                               primitive_direction, ccw_strictly_between,
                               midpoint)
 
@@ -86,9 +87,10 @@ def test_simple_polygon_rejects_bad_rings():
 
 
 def test_point_in_polygon(l_polygon):
-    assert point_in_polygon(pt(Fraction(1, 2), Fraction(1, 2)), l_polygon) == INTERIOR
-    assert point_in_polygon(pt(1, 1), l_polygon) == BOUNDARY
-    assert point_in_polygon(Point2(Fraction(3, 2), Fraction(3, 2)), l_polygon) == OUTSIDE
+    ring = l_polygon.points
+    assert point_in_ring(pt(Fraction(1, 2), Fraction(1, 2)), ring) == INTERIOR
+    assert point_in_ring(pt(1, 1), ring) == BOUNDARY
+    assert point_in_ring(Point2(Fraction(3, 2), Fraction(3, 2)), ring) == OUTSIDE
 
 
 def test_segment_inside_polygon(l_polygon):
@@ -99,6 +101,25 @@ def test_segment_inside_polygon(l_polygon):
     assert not segment_inside_polygon(pt(2, 1), pt(1, 2), l_polygon)
     with pytest.raises(EndpointOutsideError):
         segment_inside_polygon(pt(0, 0), pt(2, 2), l_polygon)
+
+
+def test_segment_inside_raw_ring():
+    # Two triangles pinched at (2, 2), with a collinear subdivision point
+    # (4, 2): a ring the simple-polygon validator refuses, of the kind the
+    # visibility engine emits.
+    ring = [pt(0, 0), pt(2, 2), pt(4, 0), pt(4, 2), pt(4, 4), pt(2, 2),
+            pt(0, 4)]
+    with pytest.raises(PolygonError):
+        SimplePolygon.from_points(ring)
+    # inside, through the pinch and from the subdivision point
+    assert segment_inside_ring(pt(1, 2), pt(3, 2), ring)
+    assert segment_inside_ring(pt(4, 2), pt(2, 2), ring)
+    # grazing along an edge, across the subdivision point
+    assert segment_inside_ring(pt(4, 0), pt(4, 4), ring)
+    # leaving the ring between the two triangles
+    assert not segment_inside_ring(pt(0, 1), pt(4, 1), ring)
+    with pytest.raises(EndpointOutsideError):
+        segment_inside_ring(pt(2, 1), pt(3, 2), ring)
 
 
 def test_primitive_direction_and_cones():

@@ -8,8 +8,12 @@
   literal.  Exact arithmetic stops only at the presentation layer.
 - Only ``oracle.py`` itself names ``oracle`` in an import: the slow
   reference routes there are for tests, never for the production pipeline.
+- Every ``module.function`` the benchmark's tracer wraps
+  (``perfbench/tracing.py``, ``TARGETS``) names a callable of the package,
+  so renaming a traced entry point fails here, not in the traced bench.
 """
 import ast
+import importlib
 import os
 
 import pytest
@@ -82,3 +86,27 @@ def _imports_oracle(tree):
 def test_production_never_imports_oracle(name):
     found = _imports_oracle(_tree(name))
     assert found == [], f"{name}: imports oracle at lines {found}"
+
+
+def _traced_targets():
+    """The ``TARGETS`` literal of the benchmark's tracer, read from its
+    source without importing it."""
+    path = os.path.join(PACKAGE, os.pardir, os.pardir, "perfbench",
+                        "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename="tracing.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_traced_targets_exist():
+    missing = []
+    for modname, names in _traced_targets().items():
+        mod = importlib.import_module(f"polyext.{modname}")
+        missing += [f"{modname}.{name}" for name in names
+                    if not callable(getattr(mod, name, None))]
+    assert missing == [], f"traced but not in polyext: {missing}"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polyext.planar as planar
-from polyext.geometry import SimplePolygon, pt, point_in_polygon, OUTSIDE
+from polyext.geometry import SimplePolygon, pt, point_in_ring, OUTSIDE
 from polyext.model import Instance, PlaneInstance, validate_plane_instance
 from polyext.jsonio import dumps, drawing_to_json, load, plane_instance_from_json
 from polyext.triangulation import ear_clip, root_dual
@@ -69,7 +69,7 @@ def test_accommodate_square_pair():
     assert validate_planar(d, plane.instance)
     assert validate_respecting(d, plane.instance, sq).ok
     for v in range(plane.instance.n):
-        assert point_in_polygon(d.positions[v], sq) != OUTSIDE
+        assert point_in_ring(d.positions[v], sq.points) != OUTSIDE
     assert_golden(d, "square_pair")
 
 

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 from hypothesis import given, settings, HealthCheck, strategies as st
 
-from polyext.geometry import (SimplePolygon, pt, Point2, point_in_polygon,
+from polyext.geometry import (SimplePolygon, pt, Point2, point_in_ring,
                               segment_inside_polygon, OUTSIDE)
 from polyext.model import Instance
 from polyext.conditions import check_pair, check_universality
 from polyext.sketch import sketch_linear, realize, validate_respecting
 from polyext.triangulation import root_dual
-from polyext.visibility import link_distance, link_distance_pointwise
+from polyext.visibility import link_distance
 from polyext.oracle import (delta, enumerate_sketches, random_instance,
                             random_polygon, random_triangulation,
-                            enumerate_local_sketches, all_triangulations)
+                            enumerate_local_sketches, all_triangulations,
+                            link_distance_pointwise)
 from polyext.jsonio import (instance_to_json, instance_from_json,
                             polygon_to_json, polygon_from_json,
                             drawing_to_json, drawing_from_json)
@@ -92,7 +93,7 @@ def test_link_distance_symmetric_and_one_iff_visible(seed):
     a, b = rng.choice(pts), rng.choice(pts)
     bb_a = Point2(sum(p.x for p in pts) / len(pts),
                   sum(p.y for p in pts) / len(pts))
-    if point_in_polygon(bb_a, poly) != OUTSIDE:
+    if point_in_ring(bb_a, poly.points) != OUTSIDE:
         pts.append(bb_a)
         a = rng.choice(pts)
     d_ab = link_distance(poly, a, b)

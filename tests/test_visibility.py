@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from polyext.geometry import SimplePolygon, pt, Point2, segment_inside_polygon
+from polyext.oracle import link_distance_pointwise
 from polyext.visibility import (visibility_polygon, link_ball, link_distance,
-                                link_distance_pointwise, VisibilityError)
+                                VisibilityError)
 
 
 def test_convex_visibility_is_whole_polygon(unit_square):
