@@ -169,10 +169,18 @@ def cmd_verify(args) -> int:
     unknown = [v for v in drawing.positions if not 0 <= v < inst.n]
     if unknown:
         raise SchemaError(f"drawing references unknown vertices {unknown}")
-    tri = None
+    dangling = [v for v in drawing.simplex or () if not 0 <= v < inst.n]
+    if dangling:
+        raise SchemaError(
+            f"drawing has simplex records for unknown vertices {dangling}")
+    tri = cover = None
     if args.tri is not None:
         tri = jsonio.triangulation_from_json(jsonio.load(args.tri), polygon)
-    report = validate_respecting(drawing, inst, polygon, tri)
+    elif drawing.simplex:
+        # the triangulation draw uses by default: records made on it let
+        # their edges skip the geometric containment test
+        cover = ear_clip(polygon)
+    report = validate_respecting(drawing, inst, polygon, tri, cover=cover)
     if not report.ok:
         _emit({"status": "invalid-drawing", "failures": list(report.failures)})
         return EXIT_NEGATIVE

@@ -7,6 +7,7 @@ harmless subdivision points); coincident consecutive vertices are not.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -289,7 +290,6 @@ def primitive_direction(v: Point2) -> tuple[int, int]:
     """Shortest integer vector with the same direction as v (v must be nonzero)."""
     if v.is_zero():
         raise ValueError("zero vector has no direction")
-    import math
     den = v.x.denominator * v.y.denominator
     xi = v.x.numerator * (den // v.x.denominator)
     yi = v.y.numerator * (den // v.y.denominator)

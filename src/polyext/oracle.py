@@ -9,12 +9,14 @@ from typing import Iterator, Optional
 
 from .conditions import TripleViolation
 from .geometry import (Point2, SimplePolygon, PolygonError, OUTSIDE,
-                       EndpointOutsideError, point_in_ring,
-                       segment_inside_polygon, segment_intersection)
+                       EndpointOutsideError, orient, point_in_ring,
+                       point_on_segment, segment_inside_polygon,
+                       segment_intersection)
 from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
                     graph_distances, validate_instance)
-from .triangulation import (Triangulation, root_dual, ear_clip,
-                            validate_triangulation, _diagonal_ok, _interleave)
+from .triangulation import (Triangulation, TriangulationError, root_dual,
+                            ear_clip, validate_triangulation, _canon,
+                            _interleave, _split_ring)
 from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
                      _check_rooted)
 from .visibility import Ring, VisibilityError, link_rings, visibility_polygon
@@ -397,6 +399,67 @@ def localize(assign: dict[int, Simplex], pocket_range: tuple[int, int],
         else:
             out[v] = outer_triangle
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference triangulation check: every diagonal checked geometrically.
+# ---------------------------------------------------------------------------
+
+def _diagonal_ok(polygon: SimplePolygon, a: int, b: int) -> bool:
+    """Valid diagonal: open segment strictly interior, through no vertex."""
+    t = len(polygon)
+    if a == b or (a + 1) % t == b or (b + 1) % t == a:
+        return False
+    pa, pb = polygon.points[a], polygon.points[b]
+    if pa == pb:
+        return False
+    for k, p in enumerate(polygon.points):
+        if k in (a, b):
+            continue
+        if point_on_segment(p, pa, pb):
+            return False
+    for i in range(t):
+        c, d = polygon.points[i], polygon.points[(i + 1) % t]
+        hit = segment_intersection(pa, pb, c, d)
+        if hit is None:
+            continue
+        if hit[0] == "segment":
+            return False
+        if hit[1] not in (pa, pb):
+            return False
+    try:
+        return segment_inside_polygon(pa, pb, polygon)
+    except EndpointOutsideError:
+        return False
+
+
+def validate_triangulation_reference(polygon: SimplePolygon,
+                                     diagonals: list[tuple[int, int]]
+                                     ) -> Triangulation:
+    """triangulation.validate_triangulation by definition: each diagonal
+    strictly inside the polygon and through no vertex, no two crossing, and
+    no degenerate triangle."""
+    t = len(polygon)
+    diagonals = [_canon(*d) for d in diagonals]
+    if len(set(diagonals)) != len(diagonals):
+        raise TriangulationError("duplicate diagonal")
+    if len(diagonals) != t - 3:
+        raise TriangulationError(f"need exactly {t - 3} diagonals, got {len(diagonals)}")
+    for d in diagonals:
+        if not (0 <= d[0] < t and 0 <= d[1] < t):
+            raise TriangulationError(f"diagonal {d} out of range")
+        if not _diagonal_ok(polygon, *d):
+            raise TriangulationError(f"invalid diagonal {d}")
+    for i in range(len(diagonals)):
+        for j in range(i + 1, len(diagonals)):
+            if _interleave(t, diagonals[i], diagonals[j]):
+                raise TriangulationError(
+                    f"diagonals {diagonals[i]} and {diagonals[j]} cross")
+    triangles = _split_ring(t, set(diagonals))
+    for (a, b, c) in triangles:
+        if orient(polygon.points[a], polygon.points[b], polygon.points[c]) == 0:
+            raise TriangulationError(f"degenerate triangle {(a, b, c)}")
+    return Triangulation(polygon, diagonals, triangles)
 
 
 def all_triangulations(polygon: SimplePolygon) -> Iterator[Triangulation]:

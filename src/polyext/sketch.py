@@ -12,6 +12,14 @@ over the pockets, in time linear in the instance and the polygon; realize
 turns a sketch into exact positions and validate_respecting checks any
 drawing against the polygon.  The recursive pocket merge that defines the
 coarsest sketch lives in polyext.oracle as a test-only reference.
+
+validate_respecting reads a drawing's simplex records as a certificate:
+when the records of an edge's two endpoints are simplices of a valid
+triangulation that contain the endpoints and share a closed triangle, the
+edge lies in that triangle, hence in the polygon, and needs no geometry.
+Every other edge takes the exact segment-containment test, so the
+certificate only ever accepts and the verdict and failures are those of the
+geometric check alone.
 """
 from __future__ import annotations
 
@@ -20,7 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import (Point2, SimplePolygon, point_in_triangle,
-                       segment_inside_polygon, EndpointOutsideError, OUTSIDE)
+                       point_on_segment, segment_inside_polygon,
+                       EndpointOutsideError, OUTSIDE)
 from .model import Instance
 from .triangulation import Triangulation
 
@@ -46,7 +55,6 @@ class SimplexTable:
     """Combinatorial lookup structure for the simplices of a triangulation."""
 
     def __init__(self, tri: Triangulation):
-        _check_rooted(tri)
         self.tri = tri
         t = tri.t
         self.vertices: list[Simplex] = [(i,) for i in range(t)]
@@ -72,6 +80,7 @@ class SimplexTable:
         return union in self._members
 
     def root_triangle(self) -> Simplex:
+        _check_rooted(self.tri)
         return tuple(self.tri.triangles[self.tri.root])
 
 
@@ -224,12 +233,55 @@ class RespectReport:
     failures: tuple[str, ...] = ()
 
 
+def _simplex_holds(s: Simplex, p: Point2, polygon: SimplePolygon) -> bool:
+    """Whether the closed simplex s (of a triangulation of polygon) holds p."""
+    corners = [polygon.points[i] for i in s]
+    if len(corners) == 1:
+        return p == corners[0]
+    if len(corners) == 2:
+        return point_on_segment(p, *corners)
+    return point_in_triangle(p, *corners) != OUTSIDE
+
+
+def _homes(drawing: Drawing, inst: Instance, polygon: SimplePolygon,
+           table: SimplexTable) -> tuple[dict[int, Simplex], list[str]]:
+    """The vertices whose simplex record is a simplex of the table's
+    triangulation holding the vertex's position, mapped to that record, and
+    a failure for every other record."""
+    homes: dict[int, Simplex] = {}
+    bad: list[str] = []
+    records = drawing.simplex
+    for v in range(inst.n):
+        s = records.get(v)
+        if s is None:
+            continue
+        if not table.is_simplex(s):
+            bad.append(f"vertex {v} simplex record {s} is not a simplex of "
+                       "the triangulation")
+        elif not _simplex_holds(s, drawing.positions[v], polygon):
+            bad.append(f"vertex {v} lies outside its simplex record")
+        else:
+            homes[v] = s
+    return homes, bad
+
+
 def validate_respecting(drawing: Drawing, inst: Instance,
                         polygon: SimplePolygon,
-                        tri: Optional[Triangulation] = None) -> RespectReport:
+                        tri: Optional[Triangulation] = None, *,
+                        cover: Optional[Triangulation] = None
+                        ) -> RespectReport:
     """Check that a drawing respects the polygon: every vertex placed, cycle
     pinned, and every edge inside the polygon.  Given a triangulation, also
-    check that every edge lies inside some closed triangle of it."""
+    check that every edge lies inside some closed triangle of it, and that
+    every simplex record of the drawing is a simplex of it holding its
+    vertex's position.
+
+    `cover` is a valid triangulation of the polygon used without `tri` as
+    an accept-only certificate: a record that does not fit it is no failure,
+    its vertex's edges just take the geometric test.  Edges whose endpoints'
+    records share a closed triangle of `tri` (or `cover`) are accepted
+    without geometry; the verdict is the same either way.
+    """
     failures = []
     pos = drawing.positions
     for p, v in enumerate(inst.cycle):
@@ -242,10 +294,20 @@ def validate_respecting(drawing: Drawing, inst: Instance,
             failures.append(f"vertex {v} missing a position")
     if failures:
         return RespectReport(False, tuple(failures))
+    certificate = tri if tri is not None else cover
+    homes: dict[int, Simplex] = {}
+    if certificate is not None and drawing.simplex:
+        table = SimplexTable(certificate)
+        homes, bad = _homes(drawing, inst, polygon, table)
+        if tri is not None:
+            failures.extend(bad)
     tri_pts = None if tri is None else [
         (polygon.points[a], polygon.points[b], polygon.points[c])
         for a, b, c in tri.triangles]
     for u, v in inst.edges:
+        hu, hv = homes.get(u), homes.get(v)
+        if hu is not None and hv is not None and table.shares_triangle(hu, hv):
+            continue
         a, b = pos[u], pos[v]
         try:
             if not segment_inside_polygon(a, b, polygon):

@@ -1,5 +1,13 @@
 """Polygon triangulations, their dual trees, and the pocket index.
 
+validate_triangulation checks a diagonal set by certificate: the diagonals
+must form a combinatorial triangulation of the ring and every triangle must
+be strictly counterclockwise.  For a simple polygon that is enough, since
+the triangles' boundaries add up to the polygon's boundary, so their winding
+numbers add up to the polygon's: with every triangle positive, each point of
+the polygon lies in exactly one triangle and no point outside lies in any.
+The per-diagonal geometric check is polyext.oracle's test-only reference.
+
 Vertex indices are 0-based positions in the polygon ring.  A pocket is the
 part of the polygon cut off by a triangulation edge on the side away from the
 root triangle; boundary edges cut off nothing and give trivial pockets.
@@ -11,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import (SimplePolygon, Point2, orient, point_in_triangle,
-                       point_on_segment, segment_inside_polygon,
-                       segment_intersection, EndpointOutsideError, OUTSIDE)
+from .geometry import SimplePolygon, Point2, orient, point_in_triangle, OUTSIDE
 
 
 class TriangulationError(ValueError):
@@ -119,34 +125,6 @@ def ear_clip(polygon: SimplePolygon) -> Triangulation:
     return Triangulation(polygon, diagonals, triangles)
 
 
-def _diagonal_ok(polygon: SimplePolygon, a: int, b: int) -> bool:
-    """Valid diagonal: open segment strictly interior, through no vertex."""
-    t = len(polygon)
-    if a == b or (a + 1) % t == b or (b + 1) % t == a:
-        return False
-    pa, pb = polygon.points[a], polygon.points[b]
-    if pa == pb:
-        return False
-    for k, p in enumerate(polygon.points):
-        if k in (a, b):
-            continue
-        if point_on_segment(p, pa, pb):
-            return False
-    for i in range(t):
-        c, d = polygon.points[i], polygon.points[(i + 1) % t]
-        hit = segment_intersection(pa, pb, c, d)
-        if hit is None:
-            continue
-        if hit[0] == "segment":
-            return False
-        if hit[1] not in (pa, pb):
-            return False
-    try:
-        return segment_inside_polygon(pa, pb, polygon)
-    except EndpointOutsideError:
-        return False
-
-
 def _interleave(t: int, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     a, b = d1
     c, d = d2
@@ -185,7 +163,12 @@ def _split_ring(t: int, diag_set: set[tuple[int, int]]
 
 def validate_triangulation(polygon: SimplePolygon,
                            diagonals: list[tuple[int, int]]) -> Triangulation:
-    """Check a diagonal set and build the triangle list, or raise."""
+    """Check a diagonal set and build the triangle list, or raise.
+
+    The only geometry is one orientation test per triangle: a combinatorial
+    triangulation of a simple polygon whose triangles are all strictly
+    counterclockwise tiles the polygon (see the module docstring).
+    """
     t = len(polygon)
     diagonals = [_canon(*d) for d in diagonals]
     if len(set(diagonals)) != len(diagonals):
@@ -195,7 +178,7 @@ def validate_triangulation(polygon: SimplePolygon,
     for d in diagonals:
         if not (0 <= d[0] < t and 0 <= d[1] < t):
             raise TriangulationError(f"diagonal {d} out of range")
-        if not _diagonal_ok(polygon, *d):
+        if d[0] == d[1] or (d[0] + 1) % t == d[1] or (d[1] + 1) % t == d[0]:
             raise TriangulationError(f"invalid diagonal {d}")
     for i in range(len(diagonals)):
         for j in range(i + 1, len(diagonals)):
@@ -203,9 +186,14 @@ def validate_triangulation(polygon: SimplePolygon,
                 raise TriangulationError(
                     f"diagonals {diagonals[i]} and {diagonals[j]} cross")
     triangles = _split_ring(t, set(diagonals))
+    pts = polygon.points
     for (a, b, c) in triangles:
-        if orient(polygon.points[a], polygon.points[b], polygon.points[c]) == 0:
+        o = orient(pts[a], pts[b], pts[c])
+        if o == 0:
             raise TriangulationError(f"degenerate triangle {(a, b, c)}")
+        if o < 0:
+            raise TriangulationError(
+                f"triangle {(a, b, c)} is not counterclockwise")
     return Triangulation(polygon, diagonals, triangles)
 
 

@@ -285,3 +285,73 @@ def test_svg_outputs(workdir, tmp_path, capsys):
     assert rc == EXIT_POSITIVE
     capsys.readouterr()
     assert "<svg" in open(w_svg).read()
+
+
+def _drawn_with_records(workdir, tmp_path, records):
+    """The hub drawing written by draw, with `records` (vertex key ->
+    simplex record) written over its simplex records."""
+    out_path = str(workdir["tmp"] / "drawing.json")
+    main(["draw", workdir["instance"], workdir["polygon"],
+          "--tri", workdir["tri"], "-o", out_path])
+    blob = load(out_path)
+    blob["simplex"].update(records)
+    bad = str(tmp_path / "records.json")
+    with open(bad, "w") as fh:
+        fh.write(dumps(blob))
+    return bad
+
+
+@pytest.mark.parametrize("record,failure", [
+    ({"kind": "vertex", "id": 99},
+     "vertex 4 simplex record (98,) is not a simplex of the triangulation"),
+    ({"kind": "edge", "id": [1, 3]},
+     "vertex 4 simplex record (0, 2) is not a simplex of the triangulation"),
+    ({"kind": "edge", "id": [1, 2]},
+     "vertex 4 lies outside its simplex record"),
+], ids=["unknown-polygon-vertex", "non-edge", "point-off-the-edge"])
+def test_verify_checks_simplex_records(workdir, tmp_path, capsys, record,
+                                       failure):
+    bad = _drawn_with_records(workdir, tmp_path, {"4": record})
+    capsys.readouterr()
+    rc = main(["verify", bad, workdir["instance"], workdir["polygon"],
+               "--tri", workdir["tri"]])
+    assert rc == EXIT_NEGATIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "invalid-drawing", "failures": [failure]}
+    # without --tri a record is only a shortcut, never a claim
+    rc = main(["verify", bad, workdir["instance"], workdir["polygon"]])
+    assert rc == EXIT_POSITIVE
+    capsys.readouterr()
+
+
+def test_verify_lists_record_failures_before_edges(workdir, tmp_path,
+                                                   capsys):
+    bad = _drawn_with_records(workdir, tmp_path,
+                              {"4": {"kind": "vertex", "id": 99}})
+    blob = load(bad)
+    # inside triangle (1, 2, 3), off the diagonal: the edge to corner 0
+    # crosses the diagonal
+    blob["positions"]["4"] = ["1/1", "7/2"]
+    with open(bad, "w") as fh:
+        fh.write(dumps(blob))
+    capsys.readouterr()
+    rc = main(["verify", bad, workdir["instance"], workdir["polygon"],
+               "--tri", workdir["tri"]])
+    assert rc == EXIT_NEGATIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out["failures"] == [
+        "vertex 4 simplex record (98,) is not a simplex of the triangulation",
+        "edge (0,4) not contained in any closed triangle"]
+
+
+def test_verify_rejects_dangling_simplex_record(workdir, tmp_path, capsys):
+    bad = _drawn_with_records(workdir, tmp_path,
+                              {"7": {"kind": "vertex", "id": 1}})
+    capsys.readouterr()
+    for tri in ([], ["--tri", workdir["tri"]]):
+        rc = main(["verify", bad, workdir["instance"], workdir["polygon"]]
+                  + tri)
+        assert rc == EXIT_INVALID
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "invalid-input", "error": "drawing has "
+                       "simplex records for unknown vertices [7]"}

@@ -138,3 +138,176 @@ def test_drawing_meta_not_compared():
     a = Drawing(positions={0: pt(0, 0)}, meta={"x": 1})
     b = Drawing(positions={0: pt(0, 0)}, meta={"y": 2})
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Simplex records: checked with a triangulation, certificates for edges.
+# ---------------------------------------------------------------------------
+
+def _hub_drawing(square_diag, hub_instance, hub_record):
+    d = realize(sketch_linear(hub_instance, square_diag), square_diag)
+    return Drawing(positions=d.positions, simplex={**d.simplex, 4: hub_record})
+
+
+@pytest.mark.parametrize("record,position,failure", [
+    ((98,), None, "vertex 4 simplex record (98,) is not a simplex of the "
+                  "triangulation"),
+    ((0, 2), None, "vertex 4 simplex record (0, 2) is not a simplex of the "
+                   "triangulation"),
+    ((0, 1), None, "vertex 4 lies outside its simplex record"),
+    ((1, 3), pt(1, 1), "vertex 4 lies outside its simplex record"),
+], ids=["unknown-vertex", "non-edge", "edge-off-position",
+        "moved-off-the-edge"])
+def test_bad_simplex_record_fails_with_triangulation(
+        hub_instance, square_diag, record, position, failure):
+    d = _hub_drawing(square_diag, hub_instance, record)
+    if position is not None:
+        d = Drawing(positions={**d.positions, 4: position}, simplex=d.simplex)
+    rep = validate_respecting(d, hub_instance, square_diag.polygon,
+                              square_diag)
+    assert not rep.ok
+    # the record comes first, then whatever the edges fail on their own
+    assert rep.failures[0] == failure
+    plain = validate_respecting(Drawing(positions=d.positions), hub_instance,
+                                square_diag.polygon, square_diag)
+    assert rep.failures[1:] == plain.failures
+    # without a triangulation the records only ever accept
+    assert validate_respecting(d, hub_instance, square_diag.polygon,
+                               cover=square_diag).failures == \
+        validate_respecting(d, hub_instance, square_diag.polygon).failures
+
+
+def test_records_on_a_corner_certify_the_edges(hub_instance, square_diag):
+    # the hub at (2, 2) lies in both closed triangles, so the other
+    # triangle is as good a record as the diagonal
+    for record in ((0, 1, 3), (1, 2, 3), (1, 3)):
+        d = _hub_drawing(square_diag, hub_instance, record)
+        assert validate_respecting(d, hub_instance, square_diag.polygon,
+                                   square_diag).ok
+
+
+def _perturbed(rng, d, inst, poly, table):
+    """Copies of drawing d with moved positions, corrupted, removed or
+    replaced records."""
+    inner = [v for v in range(inst.n) if v not in set(inst.cycle)]
+    xs = [int(p.x) for p in poly.points]    # random_polygon's are integers
+    ys = [int(p.y) for p in poly.points]
+
+    def somewhere():
+        kind = rng.randrange(4)
+        if kind == 0:      # anywhere near the polygon, often outside
+            return Point2(Fraction(rng.randint(3 * min(xs) - max(xs),
+                                               3 * max(xs) - min(xs)), 2),
+                          Fraction(rng.randint(3 * min(ys) - max(ys),
+                                               3 * max(ys) - min(ys)), 2))
+        if kind == 1:      # a polygon corner
+            return rng.choice(poly.points)
+        if kind == 2:      # another vertex's place
+            return d.positions[rng.randrange(inst.n)]
+        s = rng.choice(table.all)      # a point of some simplex
+        w = [rng.randint(0, 3) for _ in s]
+        if not any(w):
+            w[0] = 1
+        corners = [poly.points[i] for i in s]
+        return Point2(sum(wi * c.x for wi, c in zip(w, corners)) / sum(w),
+                      sum(wi * c.y for wi, c in zip(w, corners)) / sum(w))
+
+    picks = rng.sample(inner, min(len(inner), rng.randint(1, 3)))
+    moved = dict(d.positions)
+    for v in picks:
+        moved[v] = somewhere()
+    yield Drawing(positions=moved, simplex=d.simplex)
+    corrupt = dict(d.simplex)
+    for v in picks:
+        corrupt[v] = rng.choice([(98,), (0, len(poly) // 2),
+                                 rng.choice(table.all),
+                                 tuple(sorted(rng.sample(range(len(poly)),
+                                                         3)))])
+    yield Drawing(positions=d.positions, simplex=corrupt)
+    yield Drawing(positions=moved, simplex=corrupt)
+    yield Drawing(positions=d.positions,
+                  simplex={v: s for v, s in d.simplex.items()
+                           if v not in picks})
+
+
+def _record_failure(f):
+    return "simplex record" in f
+
+
+def test_edge_certificates_match_the_geometric_check(rng):
+    # the certificate only ever accepts: on drawn, perturbed and corrupted
+    # drawings the edge failures equal those of the all-geometric check
+    # (the same positions with no records), with and without a triangulation
+    from polyext.oracle import (random_instance, random_polygon,
+                                random_triangulation)
+    drawings = inside = respecting = 0
+    while drawings < 150:
+        t = rng.randint(4, 9)
+        inst = random_instance(rng, t, rng.randint(1, 6),
+                               extra_edges=rng.randint(0, 3))
+        poly = random_polygon(rng, t)
+        tri = random_triangulation(rng, poly)
+        other = random_triangulation(rng, poly)
+        assign = sketch_linear(inst, tri)
+        if assign is None:
+            continue
+        d = realize(assign, tri)
+        foreign = realize(sketch_linear(inst, other) or assign, other)
+        # records made on another triangulation: checked against the
+        # drawing's own, and the drawing's records against the other one
+        cases = [(d, (tri, other)),
+                 (Drawing(positions=d.positions, simplex=foreign.simplex),
+                  (tri,))]
+        cases += [(v, (tri,)) for v in
+                  _perturbed(rng, d, inst, poly, SimplexTable(tri))]
+        for v, checks in cases:
+            geometric = Drawing(positions=v.positions)
+            for check in checks:
+                rep = validate_respecting(v, inst, poly, check)
+                ref = validate_respecting(geometric, inst, poly, check)
+                assert tuple(f for f in rep.failures
+                             if not _record_failure(f)) == ref.failures
+                assert rep.ok == (ref.ok and not any(
+                    _record_failure(f) for f in rep.failures))
+                respecting += ref.ok and check is tri
+            ref = validate_respecting(geometric, inst, poly)
+            for cover in checks + (ear_clip(poly),):
+                assert validate_respecting(v, inst, poly, cover=cover) == ref
+            drawings += 1
+            inside += ref.ok
+    print(f"{drawings} drawings: {inside} inside the polygon, "
+          f"{respecting} inside the closed triangles too")
+    # both verdicts occur, with and without a triangulation
+    assert 0 < respecting < inside < drawings
+
+
+def test_drawn_drawing_needs_no_containment_test(rng, tmp_path, monkeypatch,
+                                                 capsys):
+    # a fresh t=28, n=80 drawing verifies, with and without --tri, without
+    # a single segment-containment test
+    import polyext.geometry as geometry
+    from polyext.cli import main
+    from polyext.jsonio import (dumps, instance_to_json, polygon_to_json,
+                                triangulation_to_json)
+    from polyext.oracle import (random_polygon, random_triangulation,
+                                random_universal_instance)
+    poly = random_polygon(rng, 28)
+    docs = {"inst": instance_to_json(random_universal_instance(rng, 28, 52)),
+            "poly": polygon_to_json(poly),
+            "tri": triangulation_to_json(random_triangulation(rng, poly))}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(dumps(doc))
+
+    def no_containment(*args):
+        raise AssertionError("segment containment test ran")
+
+    monkeypatch.setattr(geometry, "segment_inside_ring", no_containment)
+    for tri in ([], ["--tri", paths["tri"]]):
+        out = str(tmp_path / "drawing.json")
+        assert main(["draw", paths["inst"], paths["poly"], "-o", out]
+                    + tri) == 0
+        assert main(["verify", out, paths["inst"], paths["poly"]] + tri) == 0
+        assert capsys.readouterr().out.endswith('{"status":"valid"}\n')

@@ -84,3 +84,97 @@ def test_split_ring_large_fan_without_recursion():
     triangles = _split_ring(t, {(0, k) for k in range(2, t - 1)})
     assert len(triangles) == t - 2
     assert sorted(triangles) == [(0, k, k + 1) for k in range(1, t - 1)]
+
+
+# ---------------------------------------------------------------------------
+# Orientation check against the per-diagonal reference.
+# ---------------------------------------------------------------------------
+
+def _subdivided(rng, poly):
+    """The polygon with a collinear subdivision point on one random edge."""
+    from fractions import Fraction
+    pts = list(poly.points)
+    i = rng.randrange(len(pts))
+    a, b = pts[i], pts[(i + 1) % len(pts)]
+    u = Fraction(rng.randint(1, 3), 4)
+    pts.insert(i + 1, a + (b - a).scale(u))
+    return SimplePolygon.from_points(pts)
+
+
+def _random_split(rng, t):
+    """The diagonals of a random combinatorial triangulation of the t-ring."""
+    diags, work = [], [(0, t - 1)]
+    while work:
+        lo, hi = work.pop()
+        m = rng.randint(lo + 1, hi - 1)
+        for a, b in ((lo, m), (m, hi)):
+            if b - a >= 2:
+                diags.append((a, b))
+                work.append((a, b))
+    return diags
+
+
+def _diagonal_sets(rng, poly):
+    """Random diagonal sets of several kinds, most of them combinatorial
+    triangulations (so only the geometry can reject them)."""
+    t = len(poly)
+    yield list(ear_clip(poly).diagonals)
+    for _ in range(12):
+        yield _random_split(rng, t)
+    for _ in range(2):
+        diags = _random_split(rng, t)
+        if diags:
+            diags[rng.randrange(len(diags))] = (rng.randint(-1, t),
+                                                rng.randint(-1, t))
+        yield diags
+    yield [tuple(rng.sample(range(t), 2)) for _ in range(t - 3)]
+    yield _random_split(rng, t)[1:]
+
+
+def _verdict(check, poly, diags):
+    try:
+        return check(poly, diags).triangles
+    except TriangulationError:
+        return None
+
+
+def test_orientation_check_matches_reference(rng, monkeypatch):
+    # the differential test of the O(t) check: every triangle strictly ccw
+    # over a combinatorial triangulation accepts exactly the diagonal sets
+    # that the per-diagonal geometric reference accepts, with the same
+    # triangles
+    import functools
+    import polyext.oracle as oracle
+    from polyext.oracle import random_polygon, validate_triangulation_reference
+    # the reference's per-diagonal test is a pure function of the polygon
+    # and the pair; sets drawn on one polygon share most of their diagonals
+    monkeypatch.setattr(oracle, "_diagonal_ok",
+                        functools.lru_cache(maxsize=None)(oracle._diagonal_ok))
+    cases = accepted = collinear = geometric_rejects = 0
+    while cases < 3000:
+        t = rng.randint(4, 13)
+        with_point = rng.random() < 0.3
+        poly = random_polygon(rng, t - 1 if with_point else t)
+        if with_point:
+            poly = _subdivided(rng, poly)
+        for diags in _diagonal_sets(rng, poly):
+            fast = _verdict(validate_triangulation, poly, diags)
+            slow = _verdict(validate_triangulation_reference, poly, diags)
+            assert fast == slow, (poly.points, diags)
+            cases += 1
+            accepted += fast is not None
+            collinear += with_point
+            if fast is None and len(set(diags)) == t - 3 == len(diags):
+                geometric_rejects += 1
+    print(f"{cases} sets: {accepted} valid, {geometric_rejects} combinatorial "
+          f"triangulations rejected, {collinear} with a collinear point")
+    assert accepted > 500 and geometric_rejects > 500 and collinear > 500
+
+
+def test_inverted_triangle_is_named():
+    # the quadrilateral's reflex corner 2 makes the diagonal (1, 3) leave
+    # the polygon: triangle (1, 2, 3) is clockwise
+    dart = SimplePolygon.from_points([pt(0, 0), pt(4, 2), pt(2, 2), pt(4, 6)])
+    with pytest.raises(TriangulationError, match=r"triangle \(1, 2, 3\)"):
+        validate_triangulation(dart, [(1, 3)])
+    assert validate_triangulation(dart, [(0, 2)]).triangles
