@@ -173,14 +173,10 @@ def cmd_verify(args) -> int:
     if dangling:
         raise SchemaError(
             f"drawing has simplex records for unknown vertices {dangling}")
-    tri = cover = None
+    tri = None
     if args.tri is not None:
         tri = jsonio.triangulation_from_json(jsonio.load(args.tri), polygon)
-    elif drawing.simplex:
-        # the triangulation draw uses by default: records made on it let
-        # their edges skip the geometric containment test
-        cover = ear_clip(polygon)
-    report = validate_respecting(drawing, inst, polygon, tri, cover=cover)
+    report = validate_respecting(drawing, inst, polygon, tri)
     if not report.ok:
         _emit({"status": "invalid-drawing", "failures": list(report.failures)})
         return EXIT_NEGATIVE

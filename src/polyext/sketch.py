@@ -31,7 +31,8 @@ from .geometry import (Point2, SimplePolygon, point_in_triangle,
                        point_on_segment, segment_inside_polygon,
                        EndpointOutsideError, OUTSIDE)
 from .model import Instance
-from .triangulation import Triangulation
+from .triangulation import (Triangulation, TriangulationError, ear_clip,
+                            root_dual, validate_triangulation)
 
 Simplex = tuple[int, ...]  # sorted polygon indices; length 1, 2, or 3
 
@@ -55,6 +56,7 @@ class SimplexTable:
     """Combinatorial lookup structure for the simplices of a triangulation."""
 
     def __init__(self, tri: Triangulation):
+        _check_rooted(tri)
         self.tri = tri
         t = tri.t
         self.vertices: list[Simplex] = [(i,) for i in range(t)]
@@ -80,7 +82,6 @@ class SimplexTable:
         return union in self._members
 
     def root_triangle(self) -> Simplex:
-        _check_rooted(self.tri)
         return tuple(self.tri.triangles[self.tri.root])
 
 
@@ -265,22 +266,30 @@ def _homes(drawing: Drawing, inst: Instance, polygon: SimplePolygon,
     return homes, bad
 
 
+def _default_cover(polygon: SimplePolygon) -> Optional[Triangulation]:
+    """ear_clip(polygon), the triangulation draw uses by default, checked
+    like a given one, or None if it does not triangulate the polygon."""
+    try:
+        return root_dual(validate_triangulation(polygon,
+                                                ear_clip(polygon).diagonals))
+    except TriangulationError:
+        return None
+
+
 def validate_respecting(drawing: Drawing, inst: Instance,
                         polygon: SimplePolygon,
-                        tri: Optional[Triangulation] = None, *,
-                        cover: Optional[Triangulation] = None
-                        ) -> RespectReport:
+                        tri: Optional[Triangulation] = None) -> RespectReport:
     """Check that a drawing respects the polygon: every vertex placed, cycle
     pinned, and every edge inside the polygon.  Given a triangulation, also
     check that every edge lies inside some closed triangle of it, and that
     every simplex record of the drawing is a simplex of it holding its
     vertex's position.
 
-    `cover` is a valid triangulation of the polygon used without `tri` as
-    an accept-only certificate: a record that does not fit it is no failure,
-    its vertex's edges just take the geometric test.  Edges whose endpoints'
-    records share a closed triangle of `tri` (or `cover`) are accepted
-    without geometry; the verdict is the same either way.
+    Edges whose endpoints' records share a closed triangle of `tri` are
+    accepted without geometry.  Without `tri`, a drawing's records are read
+    against _default_cover(polygon): a record that does not fit it is no
+    failure, its vertex's edges just take the geometric test.  The verdict
+    is the same either way.
     """
     failures = []
     pos = drawing.positions
@@ -294,9 +303,11 @@ def validate_respecting(drawing: Drawing, inst: Instance,
             failures.append(f"vertex {v} missing a position")
     if failures:
         return RespectReport(False, tuple(failures))
-    certificate = tri if tri is not None else cover
     homes: dict[int, Simplex] = {}
-    if certificate is not None and drawing.simplex:
+    certificate = None
+    if drawing.simplex:
+        certificate = tri if tri is not None else _default_cover(polygon)
+    if certificate is not None:
         table = SimplexTable(certificate)
         homes, bad = _homes(drawing, inst, polygon, table)
         if tri is not None:

@@ -171,10 +171,11 @@ def test_bad_simplex_record_fails_with_triangulation(
     plain = validate_respecting(Drawing(positions=d.positions), hub_instance,
                                 square_diag.polygon, square_diag)
     assert rep.failures[1:] == plain.failures
-    # without a triangulation the records only ever accept
-    assert validate_respecting(d, hub_instance, square_diag.polygon,
-                               cover=square_diag).failures == \
-        validate_respecting(d, hub_instance, square_diag.polygon).failures
+    # without a triangulation the records, read against ear_clip's (here
+    # square_diag), only ever accept
+    assert validate_respecting(d, hub_instance, square_diag.polygon) == \
+        validate_respecting(Drawing(positions=d.positions), hub_instance,
+                            square_diag.polygon)
 
 
 def test_records_on_a_corner_certify_the_edges(hub_instance, square_diag):
@@ -184,6 +185,24 @@ def test_records_on_a_corner_certify_the_edges(hub_instance, square_diag):
         d = _hub_drawing(square_diag, hub_instance, record)
         assert validate_respecting(d, hub_instance, square_diag.polygon,
                                    square_diag).ok
+
+
+def test_default_cover_is_checked_before_it_certifies(l_polygon,
+                                                      monkeypatch):
+    # without a triangulation the records are read against ear_clip's, and
+    # only once it passes validate_triangulation: a "triangulation" whose
+    # diagonal (2, 4) leaves the L must not certify the edge along it
+    import polyext.sketch as sketch
+    from polyext.triangulation import Triangulation
+    inst = Instance(n=6, edges=[(i, (i + 1) % 6) for i in range(6)]
+                    + [(2, 4)], cycle=list(range(6)))
+    d = Drawing(positions=dict(enumerate(l_polygon.points)),
+                simplex={v: (v,) for v in range(6)})
+    monkeypatch.setattr(sketch, "ear_clip", lambda polygon: Triangulation(
+        polygon, [(0, 2), (0, 4), (2, 4)],
+        [(0, 1, 2), (0, 2, 4), (2, 3, 4), (0, 4, 5)]))
+    assert validate_respecting(d, inst, l_polygon).failures == \
+        ("edge (2,4) leaves the polygon",)
 
 
 def _perturbed(rng, d, inst, poly, table):
@@ -260,6 +279,15 @@ def test_edge_certificates_match_the_geometric_check(rng):
                   (tri,))]
         cases += [(v, (tri,)) for v in
                   _perturbed(rng, d, inst, poly, SimplexTable(tri))]
+        # drawn on ear_clip's triangulation, which the check without a
+        # triangulation reads the records against
+        ear = root_dual(ear_clip(poly))
+        on_ear = sketch_linear(inst, ear)
+        if on_ear is not None:
+            d = realize(on_ear, ear)
+            cases += [(d, (ear, tri))]
+            cases += [(v, (ear,)) for v in
+                      _perturbed(rng, d, inst, poly, SimplexTable(ear))]
         for v, checks in cases:
             geometric = Drawing(positions=v.positions)
             for check in checks:
@@ -271,8 +299,7 @@ def test_edge_certificates_match_the_geometric_check(rng):
                     _record_failure(f) for f in rep.failures))
                 respecting += ref.ok and check is tri
             ref = validate_respecting(geometric, inst, poly)
-            for cover in checks + (ear_clip(poly),):
-                assert validate_respecting(v, inst, poly, cover=cover) == ref
+            assert validate_respecting(v, inst, poly) == ref
             drawings += 1
             inside += ref.ok
     print(f"{drawings} drawings: {inside} inside the polygon, "
