@@ -82,43 +82,49 @@ def point_on_segment(p: Point2, a: Point2, b: Point2) -> bool:
             and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
-def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2):
-    """Exact intersection of closed segments ab and cd.
+def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2
+                         ) -> tuple[Point2, ...]:
+    """The common points of closed segments ab and cd.
 
-    Returns None when disjoint, ("point", p) for a single common point, and
-    ("segment", (p, q)) for a collinear overlap of positive length.
+    Returns () when disjoint, (p,) for a single common point, and (lo, hi)
+    for the ends of a collinear overlap of positive length.
     """
     r = b - a
     s = d - c
     denom = r.cross(s)
     if denom != 0:
-        t_num = (c - a).cross(s)
-        u_num = (c - a).cross(r)
-        t = t_num / denom
-        u = u_num / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return ("point", a + r.scale(t))
-        return None
+        t = (c - a).cross(s) / denom
+        u = (c - a).cross(r) / denom
+        return (a + r.scale(t),) if 0 <= t <= 1 and 0 <= u <= 1 else ()
     # Parallel.
     if (c - a).cross(r) != 0:
-        return None
+        return ()
     # Collinear: project onto the dominant axis of r (or of s if ab degenerate).
     axis = r if not r.is_zero() else s
     if axis.is_zero():
-        return ("point", a) if a == c else None
+        return (a,) if a == c else ()
 
     def key(p: Point2) -> Fraction:
         return p.x if abs(axis.x) >= abs(axis.y) else p.y
 
-    lo_ab, hi_ab = sorted((a, b), key=key)
-    lo_cd, hi_cd = sorted((c, d), key=key)
-    lo = max(lo_ab, lo_cd, key=key)
-    hi = min(hi_ab, hi_cd, key=key)
+    lo = max(min(a, b, key=key), min(c, d, key=key), key=key)
+    hi = min(max(a, b, key=key), max(c, d, key=key), key=key)
     if key(lo) > key(hi):
-        return None
-    if lo == hi:
-        return ("point", lo)
-    return ("segment", (lo, hi))
+        return ()
+    return (lo,) if lo == hi else (lo, hi)
+
+
+def line_cuts(a: Point2, b: Point2, p: Point2, q: Point2) -> list[Fraction]:
+    """The u in [0, 1] with a + u*(b - a) on the line through p and q (p != q):
+    one value where ab crosses or touches the line, [0, 1] when ab lies on it,
+    [] when ab misses it."""
+    n = q - p
+    sa = n.cross(a - p)
+    sb = n.cross(b - p)
+    if sa == sb:  # ab parallel to the line
+        return [Fraction(0), Fraction(1)] if sa == 0 else []
+    u = sa / (sa - sb)
+    return [u] if 0 <= u <= 1 else []
 
 
 def segments_properly_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
@@ -214,7 +220,7 @@ def is_simple_polygon(points: Sequence[Point2]) -> bool:
             if j == i or (j + 1) % n == i or (i + 1) % n == j:
                 continue  # adjacent (handled by the spike test above)
             c, d = points[j], points[(j + 1) % n]
-            if segment_intersection(a, b, c, d) is not None:
+            if segment_intersection(a, b, c, d):
                 return False
     return True
 
@@ -266,14 +272,8 @@ def segment_inside_ring(a: Point2, b: Point2, pts: Sequence[Point2]) -> bool:
     params = {Fraction(0), Fraction(1)}
     n = len(pts)
     for i in range(n):
-        hit = segment_intersection(a, b, pts[i], pts[(i + 1) % n])
-        if hit is None:
-            continue
-        if hit[0] == "point":
-            params.add(param_along(hit[1], a, d))
-        else:
-            params.add(param_along(hit[1][0], a, d))
-            params.add(param_along(hit[1][1], a, d))
+        for h in segment_intersection(a, b, pts[i], pts[(i + 1) % n]):
+            params.add(param_along(h, a, d))
     cuts = sorted(u for u in params if 0 <= u <= 1)
     for u1, u2 in zip(cuts, cuts[1:]):
         if point_in_ring(a + d.scale((u1 + u2) / 2), pts) == OUTSIDE:

@@ -32,7 +32,16 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _json_int(v: Any) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"expected an integer, got {v!r}")
+    return v
+
+
 def fraction_from_str(s: Any) -> Fraction:
+    if isinstance(s, bool):
+        raise SchemaError(f"expected rational string, got {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
@@ -75,9 +84,9 @@ def instance_from_json(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise SchemaError("instance document must be an object")
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-        cycle = [int(c) for c in data["cycle"]]
+        n = _json_int(data["n"])
+        edges = [(_json_int(u), _json_int(v)) for u, v in data["edges"]]
+        cycle = [_json_int(c) for c in data["cycle"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad instance document: {exc}") from exc
     inst = Instance(n=n, edges=edges, cycle=cycle)
@@ -98,7 +107,7 @@ def plane_instance_from_json(data: Any) -> PlaneInstance:
     if "rotation" not in data:
         raise SchemaError("plane instance document lacks a rotation field")
     try:
-        rot = {int(v): [int(u) for u in ns]
+        rot = {int(v): [_json_int(u) for u in ns]
                for v, ns in data["rotation"].items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"bad rotation field: {exc}") from exc
@@ -146,7 +155,8 @@ def triangulation_from_json(data: Any, poly: SimplePolygon) -> Triangulation:
     if not isinstance(data, dict):
         raise SchemaError("triangulation document must be an object")
     try:
-        diagonals = [(int(a) - 1, int(b) - 1) for a, b in data["diagonals"]]
+        diagonals = [(_json_int(a) - 1, _json_int(b) - 1)
+                     for a, b in data["diagonals"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad triangulation document: {exc}") from exc
     try:
@@ -157,7 +167,7 @@ def triangulation_from_json(data: Any, poly: SimplePolygon) -> Triangulation:
     if root == "ear":
         return root_dual(tri, policy="ear")
     try:
-        return root_dual(tri, policy=int(root))
+        return root_dual(tri, policy=_json_int(root))
     except (TypeError, ValueError, TriangulationError) as exc:
         raise SchemaError(f"bad root: {exc}") from exc
 
@@ -184,7 +194,7 @@ def _simplex_from_json(data: Any) -> tuple[int, ...]:
     if want is None or not isinstance(ids, list) or len(ids) != want:
         raise SchemaError(f"bad simplex record {data!r}")
     try:
-        return tuple(sorted(int(i) - 1 for i in ids))
+        return tuple(sorted(_json_int(i) - 1 for i in ids))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad simplex record {data!r}: {exc}") from exc
 
@@ -229,7 +239,7 @@ def witness_note_to_json(note: WitnessNote) -> dict:
 def witness_note_from_json(data: Any) -> WitnessNote:
     try:
         return WitnessNote(kind=data["kind"],
-                           anchors={int(p): int(i)
+                           anchors={int(p): _json_int(i)
                                     for p, i in data["anchors"].items()},
                            certificate=dict(data["certificate"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

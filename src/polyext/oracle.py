@@ -230,9 +230,8 @@ def _rings_intersect(r1: Ring, r2: Ring) -> bool:
     n1, n2 = len(r1), len(r2)
     for i in range(n1):
         for j in range(n2):
-            hit = segment_intersection(r1[i], r1[(i + 1) % n1],
-                                       r2[j], r2[(j + 1) % n2])
-            if hit is not None:
+            if segment_intersection(r1[i], r1[(i + 1) % n1],
+                                    r2[j], r2[(j + 1) % n2]):
                 return True
     return False
 
@@ -420,12 +419,8 @@ def _diagonal_ok(polygon: SimplePolygon, a: int, b: int) -> bool:
             return False
     for i in range(t):
         c, d = polygon.points[i], polygon.points[(i + 1) % t]
-        hit = segment_intersection(pa, pb, c, d)
-        if hit is None:
-            continue
-        if hit[0] == "segment":
-            return False
-        if hit[1] not in (pa, pb):
+        hits = segment_intersection(pa, pb, c, d)
+        if len(hits) == 2 or any(h not in (pa, pb) for h in hits):
             return False
     try:
         return segment_inside_polygon(pa, pb, polygon)

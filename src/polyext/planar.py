@@ -47,7 +47,6 @@ class AddedEdge:
 
 @dataclass
 class StrippedTriangle:
-    triangle: tuple[int, int, int]
     sub_vertices: list[int]          # global ids; first three are the triangle
     sub_plane: PlaneInstance         # relabelled to 0..m-1, cycle = triangle
     snapshot: PlaneInstance          # state before the strip
@@ -55,9 +54,8 @@ class StrippedTriangle:
 
 @dataclass
 class ContractedEdge:
-    u: int
     v: int                           # removed vertex
-    z: int                           # surviving vertex (== u)
+    z: int                           # surviving vertex
     common: tuple[int, int]          # the two shared face neighbours
     snapshot: PlaneInstance          # state before the contraction
 
@@ -433,10 +431,8 @@ def strip_separating_interiors(plane: PlaneInstance
         snapshot = plane.copy()
         sub = _induced_sub_plane(plane, sub_vertices)
         s = PlaneSurgeon(plane)
-        remap = s.delete_vertices(interior)
-        new_tric = tuple(remap[x] for x in tric)
-        journal.append(StrippedTriangle(triangle=new_tric,
-                                        sub_vertices=sub_vertices,
+        s.delete_vertices(interior)
+        journal.append(StrippedTriangle(sub_vertices=sub_vertices,
                                         sub_plane=sub, snapshot=snapshot))
         plane = s.plane
         _assert_valid(plane)
@@ -466,7 +462,7 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
             continue
         if not _sketchable(cand, tri):
             continue
-        journal: list[JournalStep] = [ContractedEdge(u=keep, v=drop, z=keep,
+        journal: list[JournalStep] = [ContractedEdge(v=drop, z=keep,
                                                      common=common,
                                                      snapshot=snapshot)]
         cand, strips = strip_separating_interiors(cand)
@@ -576,16 +572,14 @@ def _angular_contains(base: Point2, d1: Point2, d2: Point2, q: Point2) -> bool:
 
 
 def accommodate(plane: PlaneInstance, polygon: SimplePolygon,
-                tri: Optional[Triangulation] = None,
-                epsilon: Optional[Fraction] = None) -> Drawing:
+                tri: Optional[Triangulation] = None) -> Drawing:
     """Planar polygon-respecting drawing of a sketchable plane instance."""
     from .triangulation import ear_clip
     if tri is None:
         tri = root_dual(ear_clip(polygon))
     if tri.root is None:
         tri = root_dual(tri)
-    if epsilon is None:
-        epsilon = default_epsilon(polygon, tri)
+    epsilon = default_epsilon(polygon, tri)
     original = plane.instance
     minimal, journal = minimize(plane, tri)
     last_error = "no attempts made"
@@ -669,7 +663,7 @@ def _locally_valid(pos: dict[int, Point2], inst: Instance,
 def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
                       pos: dict[int, Point2], polygon: SimplePolygon,
                       eps: Fraction) -> dict[int, Point2]:
-    """Re-split z into (u, v): v goes an epsilon into the wedge between the
+    """Re-split z into (z, v): v goes an epsilon into the wedge between the
     two shared neighbours, on the side holding v's other former edges."""
     before = step.snapshot
     v, z = step.v, step.z

@@ -7,13 +7,16 @@ into the ring.  Regions are kept as raw ccw vertex rings: they may contain
 collinear subdivision points and degenerate boundary contacts that the strict
 SimplePolygon validator would reject.  Point location, segment containment
 and edge parameters on those rings use geometry's ring primitives
-(point_in_ring, segment_inside_ring, param_along).  link_rings yields the
-successive balls and is the one growth loop behind link_ball and
-link_distance.  The pointwise link-distance reference lives in oracle.
+(point_in_ring, segment_inside_ring, param_along).  Lines and rays are exact:
+a ring edge is cut where geometry.line_cuts puts it on a line, and a ray keeps
+the cuts on its side of the origin.  link_rings yields the successive balls
+and is the one growth loop behind link_ball and link_distance.  The pointwise
+link-distance reference lives in oracle.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -21,35 +24,13 @@ from typing import Iterator, Optional, Sequence
 from .geometry import (Point2, SimplePolygon, point_in_ring, point_on_segment,
                        primitive_direction, angular_cmp, ccw_strictly_between,
                        segment_intersection, segment_inside_ring, param_along,
-                       orient, midpoint, BOUNDARY, OUTSIDE)
+                       line_cuts, orient, midpoint, BOUNDARY, OUTSIDE)
 
 Ring = list[Point2]
 
 
 class VisibilityError(ValueError):
     pass
-
-
-def _ray_segment_hits(q: Point2, d: Point2, a: Point2, b: Point2
-                      ) -> Optional[Fraction]:
-    """Smallest tau > 0 with q + tau*d on the closed segment ab, or None."""
-    e = b - a
-    denom = d.cross(e)
-    if denom != 0:
-        tau = (a - q).cross(e) / denom
-        s = (a - q).cross(d) / denom
-        if tau > 0 and 0 <= s <= 1:
-            return tau
-        return None
-    if (a - q).cross(d) != 0:
-        return None  # parallel, off the ray's line
-    dd = d.dot(d)
-    ta = (a - q).dot(d) / dd
-    tb = (b - q).dot(d) / dd
-    lo, hi = min(ta, tb), max(ta, tb)
-    if hi <= 0:
-        return None
-    return lo if lo > 0 else hi
 
 
 def _ray_line_point(q: Point2, d: Point2, a: Point2, b: Point2) -> Point2:
@@ -64,15 +45,14 @@ def _ray_line_point(q: Point2, d: Point2, a: Point2, b: Point2) -> Point2:
 
 def _first_hit_edge(q: Point2, d: Point2, edges: Sequence[tuple[Point2, Point2]]
                     ) -> int:
-    best = None
-    best_tau = None
-    for idx, (a, b) in enumerate(edges):
-        tau = _ray_segment_hits(q, d, a, b)
-        if tau is not None and (best_tau is None or tau < best_tau):
-            best, best_tau = idx, tau
-    if best is None:
+    """Index of the first edge the ray q + tau*d (tau > 0) meets; the lowest
+    index among edges it meets first at the same point."""
+    hits = [(tau, idx) for idx, (a, b) in enumerate(edges)
+            for u in line_cuts(a, b, q, q + d)
+            if (tau := param_along(a + (b - a).scale(u), q, d)) > 0]
+    if not hits:
         raise VisibilityError("ray escapes the polygon (not simple or q outside)")
-    return best
+    return min(hits)[1]
 
 
 def visibility_polygon(poly: SimplePolygon, q: Point2) -> Ring:
@@ -227,27 +207,17 @@ def sees_chord(ring: Ring, x: Point2, w1: Point2, w2: Point2) -> bool:
     region bounded by ring."""
     d = w2 - w1
     params = {Fraction(0), Fraction(1), Fraction(1, 2)}
-    reach = Fraction(16 * _span(ring))
     for p in ring:
         if p == x:
             continue
-        v = p - x
-        hit = segment_intersection(w1, w2, x, x + v.scale(reach / _seg_norm(v)))
-        if hit is None:
-            continue
-        params.add(param_along(hit[1] if hit[0] == "point" else hit[1][0],
-                               w1, d))
-    ts = sorted(u for u in params if 0 <= u <= 1)
+        for u in line_cuts(w1, w2, x, p):
+            if (w1 + d.scale(u) - x).dot(p - x) >= 0:  # on the ray x -> p
+                params.add(u)
+    ts = sorted(params)
     cands = list(ts) + [(u1 + u2) / 2 for u1, u2 in zip(ts, ts[1:])]
     # x lies on a ring edge and the chord is a ring edge, so no endpoint is
     # ever outside the ring.
     return any(segment_inside_ring(x, w1 + d.scale(u), ring) for u in cands)
-
-
-def _span(ring: Ring) -> int:
-    xs = [p.x for p in ring]
-    ys = [p.y for p in ring]
-    return 1 + int(max(max(xs) - min(xs), max(ys) - min(ys)))
 
 
 def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
@@ -255,29 +225,22 @@ def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
 
     The pocket ring must start [w1_side...]; concretely we expect the chord to
     be the ring edge (ring[0], ring[1]) = (b, a) as produced by pocket_ring.
-    Returns a ccw ring containing that chord edge.
+    Returns a ccw ring containing that chord edge.  Each ring edge is cut
+    where it meets a line through two shadow points (the chord ends and the
+    reflex vertices); between cuts, visibility from the chord cannot change.
     """
     n = len(ring)
-    shadow_pts = [w1, w2] + _reflex_points(ring)
-    reach = Fraction(16 * _span(ring))
+    shadow_pts = list(dict.fromkeys([w1, w2] + _reflex_points(ring)))
+    lines = list(itertools.combinations(shadow_pts, 2))
 
     out: Ring = [ring[0], ring[1]]  # chord edge b -> a
     for i in range(1, n):
         u, v = ring[i], ring[(i + 1) % n]
         d = v - u
         cuts = {Fraction(0), Fraction(1)}
-        for p in shadow_pts:
-            for r in shadow_pts:
-                if p == r:
-                    continue
-                step = (r - p).scale(reach / _seg_norm(r - p))
-                hit = segment_intersection(u, v, p - step, p + step)
-                if hit is None:
-                    continue
-                hits = [hit[1]] if hit[0] == "point" else list(hit[1])
-                for h in hits:
-                    cuts.add(param_along(h, u, d))
-        ts = sorted(c for c in cuts if 0 <= c <= 1)
+        for p, r in lines:
+            cuts.update(line_cuts(u, v, p, r))
+        ts = sorted(cuts)
         for t1, t2 in zip(ts, ts[1:]):
             mid = u + d.scale((t1 + t2) / 2)
             if sees_chord(ring, mid, w1, w2):
@@ -287,10 +250,6 @@ def weak_visibility_from_chord(ring: Ring, w1: Point2, w2: Point2) -> Ring:
                     out.append(p1)  # bridges a gap with a window chord
                 out.append(p2)
     return _open_ring(out)
-
-
-def _seg_norm(v: Point2) -> Fraction:
-    return abs(v.x) + abs(v.y)
 
 
 @dataclass
@@ -380,13 +339,10 @@ def triple_intersection_empty(r1: Ring, r2: Ring, r3: Ring) -> bool:
             ri, rj, rk = rings[i], rings[j], rings[k]
             for ii in range(len(ri)):
                 for jj in range(len(rj)):
-                    hit = segment_intersection(ri[ii], ri[(ii + 1) % len(ri)],
-                                               rj[jj], rj[(jj + 1) % len(rj)])
-                    if hit is None:
-                        continue
-                    hits = [hit[1]] if hit[0] == "point" else list(hit[1])
-                    if hit[0] == "segment":
-                        hits.append(midpoint(*hit[1]))
+                    hits = segment_intersection(ri[ii], ri[(ii + 1) % len(ri)],
+                                                rj[jj], rj[(jj + 1) % len(rj)])
+                    if len(hits) == 2:
+                        hits += (midpoint(*hits),)
                     for h in hits:
                         if point_in_ring(h, rk) != OUTSIDE:
                             return False

@@ -89,6 +89,19 @@ _HUB_POSITIONS = {"0": ["0", "0"], "1": ["4", "0"], "2": ["4", "4"],
                   "3": ["0", "4"], "4": ["2", "2"]}
 
 
+# A 4-cycle with no chord: universal, so only a schema error can reject it.
+_SQUARE = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+           "cycle": [0, 1, 2, 3]}
+
+
+def _plane_with_neighbour(value):
+    """The square-pair plane instance with vertex 1's first rotation
+    neighbour (vertex 2) replaced."""
+    doc = load(fixture_path("square_pair_plane_instance.json"))
+    doc["rotation"]["1"][0] = value
+    return doc
+
+
 @pytest.mark.parametrize("kind,doc", [
     ("polygon", {"points": 5}),
     ("tri", {"diagonals": [[2, 4]], "root": None}),
@@ -96,8 +109,30 @@ _HUB_POSITIONS = {"0": ["0", "0"], "1": ["4", "0"], "2": ["4", "4"],
     ("drawing", {"positions": _HUB_POSITIONS, "simplex": [1]}),
     ("drawing", {"positions": _HUB_POSITIONS,
                  "simplex": {"4": {"kind": "vertex", "id": "x"}}}),
+    # Integer fields take JSON integers only: no float, string or boolean
+    # is truncated or coerced into a vertex id.
+    ("instance", {**_SQUARE, "n": 4.9}),
+    ("instance", {**_SQUARE, "n": "4"}),
+    ("instance", {**_SQUARE, "edges": [[0, 1.7], [1, 2], [2, 3], [0, 3]]}),
+    ("instance", {**_SQUARE, "edges": [[0, True], [1, 2], [2, 3], [0, 3]]}),
+    ("instance", {**_SQUARE, "cycle": [0, 1, 2, 3.0]}),
+    ("plane", _plane_with_neighbour("2")),
+    ("polygon", {"points": [[False, "0"], ["4", "0"], ["4", "4"],
+                            ["0", "4"]]}),
+    ("tri", {"diagonals": [[1.9, 3]], "root": "ear"}),
+    ("tri", {"diagonals": [[2, 4]], "root": True}),
+    ("tri", {"diagonals": [[2, 4]], "root": 1.0}),
+    ("drawing", {"positions": _HUB_POSITIONS,
+                 "simplex": {"4": {"kind": "edge", "id": [2, 4.0]}}}),
+    ("drawing", {"positions": _HUB_POSITIONS,
+                 "simplex": {"4": {"kind": "edge", "id": [True, 3]}}}),
 ], ids=["polygon-points-not-a-list", "tri-root-null", "tri-root-list",
-        "drawing-simplex-not-an-object", "simplex-id-not-an-int"])
+        "drawing-simplex-not-an-object", "simplex-id-not-an-int",
+        "instance-n-float", "instance-n-string", "instance-edge-float",
+        "instance-edge-bool", "instance-cycle-float",
+        "rotation-neighbour-string", "polygon-coordinate-bool",
+        "tri-diagonal-float", "tri-root-bool", "tri-root-float",
+        "simplex-id-float", "simplex-id-bool"])
 def test_malformed_document_is_invalid_input(workdir, tmp_path, capsys, kind,
                                              doc):
     bad = str(tmp_path / "bad.json")
@@ -105,6 +140,9 @@ def test_malformed_document_is_invalid_input(workdir, tmp_path, capsys, kind,
         fh.write(json.dumps(doc))
     out_path = str(tmp_path / "d.json")
     argv = {
+        "instance": ["check", bad],
+        "plane": ["draw", bad, workdir["polygon"], "--planar",
+                  "-o", out_path],
         "polygon": ["draw", workdir["instance"], bad, "-o", out_path],
         "tri": ["draw", workdir["instance"], workdir["polygon"],
                 "--tri", bad, "-o", out_path],

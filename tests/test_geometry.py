@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from polyext.geometry import (pt, Point2, orient, point_on_segment,
                               segment_inside_polygon, segment_inside_ring,
                               EndpointOutsideError,
                               primitive_direction, ccw_strictly_between,
-                              midpoint)
+                              midpoint, line_cuts)
 
 
 def test_orient_signs():
@@ -33,11 +34,34 @@ def test_point_on_segment():
 
 
 def test_segment_intersection_kinds():
-    kind, p = segment_intersection(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
-    assert kind == "point" and p == pt(1, 1)
-    kind, seg = segment_intersection(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
-    assert kind == "segment" and set(seg) == {pt(1, 0), pt(3, 0)}
-    assert segment_intersection(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) is None
+    assert segment_intersection(pt(0, 0), pt(2, 2),
+                                pt(0, 2), pt(2, 0)) == (pt(1, 1),)
+    lo, hi = segment_intersection(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
+    assert {lo, hi} == {pt(1, 0), pt(3, 0)}
+    assert segment_intersection(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) == ()
+    # a touch at an endpoint is one common point, collinear or not
+    assert segment_intersection(pt(0, 0), pt(1, 1),
+                                pt(1, 1), pt(2, 0)) == (pt(1, 1),)
+    assert segment_intersection(pt(0, 0), pt(1, 0),
+                                pt(1, 0), pt(3, 0)) == (pt(1, 0),)
+
+
+def test_line_cuts_by_definition():
+    """Every segment ab against every line through two points of a 4x4 grid."""
+    grid = [pt(x, y) for x in range(4) for y in range(4)]
+    for p, q in itertools.combinations(grid, 2):
+        for a in grid:
+            for b in grid:
+                cuts = line_cuts(a, b, p, q)
+                sa, sb = orient(p, q, a), orient(p, q, b)
+                if sa == sb == 0:
+                    assert cuts == [0, 1]
+                elif sa * sb > 0:  # no point of ab on the line
+                    assert cuts == []
+                else:
+                    (u,) = cuts
+                    assert 0 <= u <= 1
+                    assert orient(p, q, a + (b - a).scale(u)) == 0
 
 
 def test_properly_cross_excludes_touching():
