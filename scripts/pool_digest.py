@@ -11,7 +11,9 @@ label, the call kind, the exit code, a sha256 over the files the call writes
 (``-`` when it writes none) and the call's stdout, with the working
 directory replaced by ``$WORK`` so that two runs print the same bytes.
 Comparing two commits is then a ``diff`` of two runs.  The exit status is 1
-when any call crashed (exit 3 or an uncaught exception).
+when any call crashed (exit 3 or an uncaught exception).  A reader that
+closes early (``| head``) stops the run quietly with status 141, as SIGPIPE
+would.
 """
 from __future__ import annotations
 
@@ -73,4 +75,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

@@ -116,11 +116,6 @@ class PlaneInstance:
     instance: Instance
     rotation: dict[int, list[int]]
 
-    def copy(self) -> "PlaneInstance":
-        inst = Instance(self.instance.n, list(self.instance.edges),
-                        list(self.instance.cycle))
-        return PlaneInstance(inst, {v: list(ns) for v, ns in self.rotation.items()})
-
 
 def trace_faces(rotation: dict[int, list[int]]) -> list[list[int]]:
     """All face walks of the rotation system, each as a closed vertex walk.
@@ -231,13 +226,14 @@ def orient_plane_instance(pi: PlaneInstance) -> PlaneInstance:
     """Return an equivalent plane instance whose outer face is C traversed cw.
 
     Accepts either handedness of the input rotation system and mirrors it when
-    needed; raises EmbeddingError if C never bounds a face.
+    needed; raises EmbeddingError if C never bounds a face.  Mirroring leaves
+    rotation and Euler problems as they are and reverses every face walk, so
+    the mirror is valid exactly when C bounds a face in the wrong direction.
     """
     problems = validate_plane_instance(pi)
     if not problems:
         return pi
-    if any("mirrored orientation" in p for p in problems):
-        flipped = PlaneInstance(pi.instance, mirror_rotation(pi.rotation))
-        if not validate_plane_instance(flipped):
-            return flipped
+    flipped = PlaneInstance(pi.instance, mirror_rotation(pi.rotation))
+    if not validate_plane_instance(flipped):
+        return flipped
     raise EmbeddingError("; ".join(problems))

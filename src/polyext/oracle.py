@@ -3,7 +3,9 @@ routes, plus seeded random generators for the test suite and experiment
 scripts.  Nothing in the production pipeline imports this module."""
 from __future__ import annotations
 
+import math
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -11,7 +13,7 @@ from .conditions import TripleViolation
 from .geometry import (Point2, SimplePolygon, PolygonError, OUTSIDE,
                        EndpointOutsideError, orient, point_in_ring,
                        point_on_segment, segment_inside_polygon,
-                       segment_intersection)
+                       segment_intersection, segments_properly_cross)
 from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
                     graph_distances, validate_instance)
 from .triangulation import (Triangulation, TriangulationError, root_dual,
@@ -20,6 +22,7 @@ from .triangulation import (Triangulation, TriangulationError, root_dual,
 from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
                      _check_rooted)
 from .visibility import Ring, VisibilityError, link_rings, visibility_polygon
+from .planar import PlaneSurgeon, PlanarError
 
 
 class OracleLimit(RuntimeError):
@@ -239,7 +242,6 @@ def _rings_intersect(r1: Ring, r2: Ring) -> bool:
 def _bfs_order(inst: Instance) -> list[int]:
     """Vertices ordered by BFS from the cycle, so partial assignments fail
     early; unreachable vertices come last."""
-    from collections import deque
     seen = set(inst.cycle)
     order = list(inst.cycle)
     q = deque(inst.cycle)
@@ -537,7 +539,6 @@ def random_polygon(rng: random.Random, t: int,
                    attempts: int = 2000) -> SimplePolygon:
     """Random simple polygon with t integer vertices, by 2-opt untangling of
     a random point set's tour."""
-    from .geometry import segments_properly_cross
     span = 4 * t
     for _ in range(attempts):
         pts = set()
@@ -547,7 +548,6 @@ def random_polygon(rng: random.Random, t: int,
         cx = sum((p.x for p in pts), Fraction(0)) / t
         cy = sum((p.y for p in pts), Fraction(0)) / t
         c = Point2(cx, cy)
-        import math
         pts.sort(key=lambda p: math.atan2(p.y - c.y, p.x - c.x))
         # 2-opt away any remaining crossings
         for _pass in range(10 * t):
@@ -593,7 +593,6 @@ def random_triangulation(rng: random.Random, polygon: SimplePolygon,
 def random_plane_instance(rng: random.Random, t: int, extra: int) -> PlaneInstance:
     """Random plane instance: start from the cycle drawn as a convex t-gon,
     insert extra vertices inside random faces and connect them planarly."""
-    from .planar import PlaneSurgeon, PlanarError
     inst = Instance(n=t, edges=[(i, (i + 1) % t) for i in range(t)],
                     cycle=list(range(t)))
     rotation = {i: [(i - 1) % t, (i + 1) % t] for i in range(t)}

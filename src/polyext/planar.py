@@ -6,19 +6,27 @@ strips separating-triangle interiors, and contracts sketchability-preserving
 non-cycle edges down to a minimal instance whose drawing is forced; replaying
 the simplification journal backwards with epsilon-perturbations produces a
 planar drawing inside the polygon.
+
+Augmentation sketch-tests each chord before it adds it, so nothing is rolled
+back.  Each replay step is checked locally: planarity of what it moved, plus
+one point-in-polygon test per re-placed vertex (segment containment follows
+from planarity, see _locally_valid).  Only the finished drawing takes the
+full planarity and polygon-respect checks.
 """
 from __future__ import annotations
 
-import copy
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .geometry import (Point2, SimplePolygon, orient, point_on_segment,
-                       segments_properly_cross)
+from .geometry import (OUTSIDE, Point2, SimplePolygon, ccw_strictly_between,
+                       orient, point_in_ring, point_on_segment,
+                       primitive_direction, segments_properly_cross)
 from .model import (Instance, PlaneInstance, trace_faces, _cyclic_equal,
+                    components, mirror_rotation, orient_plane_instance,
                     validate_plane_instance)
-from .triangulation import Triangulation, root_dual
+from .triangulation import Triangulation, ear_clip, root_dual
 from .sketch import sketch_linear, Drawing, SimplexTable, validate_respecting
 
 
@@ -218,7 +226,6 @@ def augment_triangulated(plane: PlaneInstance, tri: Triangulation
 
 
 def _connect_components(s: PlaneSurgeon, journal: list[JournalStep]):
-    from .model import components
     while True:
         comps = components(Instance(n=s.n, edges=sorted(s.edges),
                                     cycle=list(s.cycle)))
@@ -275,31 +282,35 @@ def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation,
         _chord_inner_cycle(s, copies, tri, journal)
 
 
+def _add_if_sketchable(s: PlaneSurgeon, face: list[int], u: int, v: int,
+                       tri: Triangulation, journal: list[JournalStep]) -> bool:
+    """Add the chord uv across `face` unless it is already an edge or the
+    instance has no sketch with it.
+
+    A sketch depends only on the edge set, so the chord is tested before the
+    surgery; a refused chord leaves the surgeon untouched.
+    """
+    e = (min(u, v), max(u, v))
+    if e in s.edges or sketch_linear(
+            Instance(n=s.n, edges=sorted(s.edges | {e}), cycle=list(s.cycle)),
+            tri) is None:
+        return False
+    s.add_edge_in_face(face, face.index(u), face.index(v))
+    journal.append(AddedEdge(u, v))
+    return True
+
+
 def _split_quad(s: PlaneSurgeon, va: int, vb: int, ub: int, ua: int,
                 tri: Triangulation, journal: list[JournalStep]):
     """Triangulate the quad face (va, vb, ub, ua) left between a face walk
     edge and the doubled cycle, keeping the coarsest sketch defined."""
-    quad = None
-    for f in s.interior_faces():
-        if len(f) == 4 and ua in f and ub in f and va in f and vb in f:
-            quad = f
-            break
+    quad = next((f for f in s.interior_faces()
+                 if len(f) == 4 and {va, vb, ub, ua} <= set(f)), None)
     if quad is None:
         raise PlanarError("doubled-cycle quad face not found")
     for p, q in ((ua, vb), (va, ub)):
-        if tuple(sorted((p, q))) in s.edges:
-            continue
-        saved = copy.deepcopy((s.edges, s.rot))
-        try:
-            s.add_edge_in_face(quad, quad.index(p), quad.index(q))
-        except (PlanarError, ValueError):
-            s.edges, s.rot = saved
-            continue
-        if not _sketchable(s.plane, tri):
-            s.edges, s.rot = saved
-            continue
-        journal.append(AddedEdge(p, q))
-        return
+        if _add_if_sketchable(s, quad, p, q, tri, journal):
+            return
     raise PlanarError("no sketch-preserving diagonal for a doubled-cycle quad")
 
 
@@ -323,26 +334,12 @@ def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation,
         if assign is not None:
             pairs.sort(key=lambda ab: not table.shares_triangle(
                 assign[cyc[ab[0]]], assign[cyc[ab[1]]]))
+        face = _face_of_cycle(s, cyc)
         for a, b in pairs:
-            u, v = cyc[a], cyc[b]
-            if tuple(sorted((u, v))) in s.edges:
-                continue
-            saved = copy.deepcopy((s.edges, s.rot))
-            face = _face_of_cycle(s, cyc)
-            try:
-                su = face.index(u)
-                sv = face.index(v)
-                s.add_edge_in_face(face, su, sv)
-            except (PlanarError, ValueError):
-                s.edges, s.rot = saved
-                continue
-            if not _sketchable(s.plane, tri):
-                s.edges, s.rot = saved
-                continue
-            journal.append(AddedEdge(u, v))
-            rec(cyc[a:b + 1])
-            rec(cyc[b:] + cyc[:a + 1])
-            return
+            if _add_if_sketchable(s, face, cyc[a], cyc[b], tri, journal):
+                rec(cyc[a:b + 1])
+                rec(cyc[b:] + cyc[:a + 1])
+                return
         raise PlanarError("no sketch-preserving chord for the doubled cycle")
 
     rec(ring)
@@ -387,7 +384,6 @@ def _triangle_interior(plane: PlaneInstance, tric: tuple[int, int, int]
     adj = inst.adjacency()
     blocked = set(tric)
     seen = set(blocked)
-    from collections import deque
     q = deque(v for v in inst.cycle if v not in blocked)
     seen.update(q)
     while q:
@@ -413,7 +409,6 @@ def _induced_sub_plane(plane: PlaneInstance, verts: list[int]
     cyc = [0, 1, 2]
     sub = PlaneInstance(instance=Instance(n=len(verts), edges=edges, cycle=cyc),
                         rotation=rot)
-    from .model import orient_plane_instance
     return orient_plane_instance(sub)
 
 
@@ -421,19 +416,19 @@ def strip_separating_interiors(plane: PlaneInstance
                                ) -> tuple[PlaneInstance, list[JournalStep]]:
     journal: list[JournalStep] = []
     while True:
-        seps = find_separating_triangles(plane)
-        seps = [tc for tc in seps if _triangle_interior(plane, tc)]
-        if not seps:
+        found = next(((tc, interior)
+                      for tc in find_separating_triangles(plane)
+                      if (interior := _triangle_interior(plane, tc))), None)
+        if found is None:
             return plane, journal
-        tric = seps[0]
-        interior = _triangle_interior(plane, tric)
+        tric, interior = found
         sub_vertices = list(tric) + sorted(interior)
-        snapshot = plane.copy()
         sub = _induced_sub_plane(plane, sub_vertices)
         s = PlaneSurgeon(plane)
         s.delete_vertices(interior)
+        # surgery works on copies, so `plane` itself is never mutated
         journal.append(StrippedTriangle(sub_vertices=sub_vertices,
-                                        sub_plane=sub, snapshot=snapshot))
+                                        sub_plane=sub, snapshot=plane))
         plane = s.plane
         _assert_valid(plane)
 
@@ -448,10 +443,7 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
     for u, v in sorted(tuple(sorted(e)) for e in inst.edges):
         if u in on_c and v in on_c:
             continue  # merging two cycle vertices would destroy C
-        keep, drop = (u, v) if u in on_c or v not in on_c else (v, u)
-        if drop in on_c:
-            keep, drop = drop, keep
-        snapshot = plane.copy()
+        keep, drop = (v, u) if v in on_c else (u, v)
         s = PlaneSurgeon(plane)
         try:
             common = s.contract(keep, drop)
@@ -464,7 +456,7 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
             continue
         journal: list[JournalStep] = [ContractedEdge(v=drop, z=keep,
                                                      common=common,
-                                                     snapshot=snapshot)]
+                                                     snapshot=plane)]
         cand, strips = strip_separating_interiors(cand)
         journal.extend(strips)
         return cand, journal
@@ -564,7 +556,6 @@ def _wedge_direction(d1: Point2, d2: Point2, weight: Fraction) -> Point2:
 
 def _angular_contains(base: Point2, d1: Point2, d2: Point2, q: Point2) -> bool:
     """Whether q - base lies in the ccw cone from d1 - base to d2 - base."""
-    from .geometry import primitive_direction, ccw_strictly_between
     s = primitive_direction(d1 - base)
     e = primitive_direction(d2 - base)
     m = primitive_direction(q - base)
@@ -574,7 +565,6 @@ def _angular_contains(base: Point2, d1: Point2, d2: Point2, q: Point2) -> bool:
 def accommodate(plane: PlaneInstance, polygon: SimplePolygon,
                 tri: Optional[Triangulation] = None) -> Drawing:
     """Planar polygon-respecting drawing of a sketchable plane instance."""
-    from .triangulation import ear_clip
     if tri is None:
         tri = root_dual(ear_clip(polygon))
     if tri.root is None:
@@ -617,9 +607,8 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
             if not _locally_valid(pos, cur.instance, polygon,
                                   step.sub_vertices[3:]):
                 raise _ReplayFailure("re-inserted interior breaks the drawing")
-        elif isinstance(step, AddedVertex):
-            # augmentation ids were appended past the original range
-            pos.pop(step.v, None)
+    # augmentation steps move nothing: their vertices have ids past the
+    # original range and are dropped here
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
@@ -636,28 +625,30 @@ def _locally_valid(pos: dict[int, Point2], inst: Instance,
 
     Every other vertex keeps its position and every edge not at a fresh
     vertex was an edge of that drawing, so only the pairs involving a fresh
-    vertex or a fresh edge can fail; on top of a valid drawing this is
-    exactly validate_planar and validate_respecting.
+    vertex or a fresh edge can fail.  Containment takes no segment test.
+    Fresh vertices are never cycle vertices, and the pinned cycle draws the
+    polygon's boundary, so a fresh vertex that is not outside the polygon
+    and on no edge lies strictly inside it; an edge from there can leave
+    the polygon only by crossing a cycle edge or running through a cycle
+    vertex, and the planarity tests refuse both.  On top of a valid drawing
+    this is exactly validate_planar and validate_respecting.
     """
     fresh = set(fresh)
     placed = {pos[v] for v in fresh}
     if len(placed) != len(fresh) or any(
             p in placed for w, p in pos.items() if w not in fresh):
         return False
+    if any(pos[c] != p for c, p in zip(inst.cycle, polygon.points)):
+        return False
+    if any(point_in_ring(pos[v], polygon.points) == OUTSIDE for v in fresh):
+        return False
     new_edges = [e for e in inst.edges if e[0] in fresh or e[1] in fresh]
     if any(_edge_blocked(pos, a, b, inst.edges, inst.n)
            for a, b in new_edges):
         return False
-    for a, b in inst.edges:
-        if a in fresh or b in fresh:
-            continue
-        for v in fresh:
-            if point_on_segment(pos[v], pos[a], pos[b]):
-                return False
-    # every cycle vertex pinned and every fresh edge inside the polygon
-    fresh_part = Instance(n=inst.n, edges=new_edges, cycle=inst.cycle)
-    return validate_respecting(Drawing(positions=pos), fresh_part,
-                               polygon).ok
+    return not any(point_on_segment(pos[v], pos[a], pos[b])
+                   for a, b in inst.edges if a not in fresh and b not in fresh
+                   for v in fresh)
 
 
 def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
@@ -722,7 +713,6 @@ def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,
     sub = step.sub_plane
     if orient(pa, pb, pc) < 0:
         # mirror the sub-embedding to match the drawn orientation
-        from .model import mirror_rotation
         sub = PlaneInstance(instance=Instance(
             n=sub.instance.n, edges=list(sub.instance.edges),
             cycle=[sub.instance.cycle[0]] + list(reversed(sub.instance.cycle[1:]))),

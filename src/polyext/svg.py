@@ -11,6 +11,7 @@ from .geometry import Point2, SimplePolygon
 from .model import Instance
 from .sketch import Drawing
 from .triangulation import Triangulation
+from .visibility import link_ball, VisibilityError
 
 
 def _bounds(points: list[Point2]) -> tuple[float, float, float, float]:
@@ -84,7 +85,6 @@ def drawing_svg(drawing: Drawing, inst: Instance, polygon: SimplePolygon,
 def witness_svg(polygon: SimplePolygon, inst: Instance, anchors: dict[int, int],
                 kind: str, ball_depths: Optional[dict[int, int]] = None) -> str:
     """Witness polygon with the anchors' link balls shaded."""
-    from .visibility import link_ball, VisibilityError
     cv = _Canvas(list(polygon.points))
     cv.poly(polygon.points, "fill:#f7f5ee;stroke:#444;stroke-width:2")
     shades = ["#fce5cd", "#d9ead3", "#cfe2f3"]

@@ -163,14 +163,10 @@ def _arm_graft(depth: int, target_in: Point2, target_out: Point2
         return [apex]
     q = depth - 1
     outer, inner, core, _mouth = _spiral_ring(q)
-    exit_out = _DIRS[0].scale(4)  # corners[1] of the outer wall
-    # The generic corridor exit chord spans from the outer path's endpoint to
-    # its unit-offset inner twin.
-    o = pt(0, 0)
-    for k in range(q + 1):
-        o = o + _DIRS[k % 4].scale(4 + 4 * k)
-    e_out = o
-    e_in = o + _DIRS[q % 4].perp_ccw()
+    # The corridor's exit chord spans from the outer wall's last corner,
+    # one leg past O_q, to its unit-offset inner twin.
+    e_out = outer[-1] + _DIRS[q % 4].scale(4 + 4 * q)
+    e_in = e_out + _DIRS[q % 4].perp_ccw()
     w = _cdiv(target_out - target_in, e_out - e_in)
 
     def tf(p: Point2) -> Point2:

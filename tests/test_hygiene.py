@@ -8,6 +8,10 @@
   literal.  Exact arithmetic stops only at the presentation layer.
 - Only ``oracle.py`` itself names ``oracle`` in an import: the slow
   reference routes there are for tests, never for the production pipeline.
+- Imports sit at module level, so a module's dependencies read off its
+  head.  The one exception is ``cli.py``, whose subcommands (``cmd_*``)
+  import the planar, witness and SVG layers lazily to keep ``check``'s
+  start-up small.
 - Every ``module.function`` the benchmark's tracer wraps
   (``perfbench/tracing.py``, ``TARGETS``) names a callable of the package,
   so renaming a traced entry point fails here, not in the traced bench.
@@ -86,6 +90,31 @@ def _imports_oracle(tree):
 def test_production_never_imports_oracle(name):
     found = _imports_oracle(_tree(name))
     assert found == [], f"{name}: imports oracle at lines {found}"
+
+
+def _local_imports(tree):
+    """(enclosing function, line) of every import inside a function."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if func is not None and isinstance(node, (ast.Import,
+                                                  ast.ImportFrom)):
+            out.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_at_module_level(name):
+    found = _local_imports(_tree(name))
+    if name == "cli.py":
+        found = [(f, line) for f, line in found if not f.startswith("cmd_")]
+    assert found == [], f"{name}: function-local imports at {found}"
 
 
 def _traced_targets():

@@ -204,25 +204,30 @@ def test_replay_checks_in_full_once(monkeypatch):
     # is checked locally.  Strip steps replay nested accommodate calls, so
     # each _replay call counts on its own frame.
     frames, replays = [], []
-    replay, full = planar._replay, planar.validate_planar
+    replay = planar._replay
 
     def count_replay(*args):
-        frames.append(0)
+        frames.append({"validate_planar": 0, "validate_respecting": 0})
         try:
             return replay(*args)
         finally:
             replays.append(frames.pop())
 
-    def count_full(*args):
-        frames[-1] += 1
-        return full(*args)
+    def counting(name):
+        full = getattr(planar, name)
+
+        def count_full(*args):
+            frames[-1][name] += 1
+            return full(*args)
+        return count_full
 
     monkeypatch.setattr(planar, "_replay", count_replay)
-    monkeypatch.setattr(planar, "validate_planar", count_full)
+    for name in ("validate_planar", "validate_respecting"):
+        monkeypatch.setattr(planar, name, counting(name))
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     accommodate(square_pair_plane(), sq)
     assert replays
-    assert all(n <= 1 for n in replays)
+    assert all(n <= 1 for counts in replays for n in counts.values())
 
 
 def test_final_check_guards_the_output(monkeypatch):
@@ -246,3 +251,39 @@ def test_final_check_guards_the_output(monkeypatch):
     with pytest.raises(PlanarError, match="final drawing not planar"):
         accommodate(plane, sq)
     assert misplaced
+
+
+def square_cycle_plane():
+    inst = Instance(n=4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)],
+                    cycle=[0, 1, 2, 3])
+    return PlaneInstance(inst, {i: [(i - 1) % 4, (i + 1) % 4]
+                                for i in range(4)})
+
+
+def test_refused_chord_leaves_the_surgeon_untouched():
+    # the square's triangulation has the diagonal (1, 3), so a chord (0, 2)
+    # has no sketch and must be refused before any surgery
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    tri = root_dual(ear_clip(sq))
+    assert tri.diagonals == [(1, 3)]
+    s = planar.PlaneSurgeon(square_cycle_plane())
+    face = s.interior_faces()[0]
+    edges, rot = set(s.edges), {v: list(ns) for v, ns in s.rot.items()}
+    journal = []
+    assert not planar._add_if_sketchable(s, face, 0, 2, tri, journal)
+    assert (s.edges, s.rot, journal) == (edges, rot, [])
+    assert planar._add_if_sketchable(s, face, 1, 3, tri, journal)
+    assert s.edges == edges | {(1, 3)}
+    assert journal == [planar.AddedEdge(1, 3)]
+
+
+def test_surgery_failure_is_not_a_refused_chord(monkeypatch):
+    # augmenting the bare square adds chords; a crash while adding one must
+    # surface, not read as "no sketch-preserving diagonal"
+    def broken(self, face, su, sv):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(planar.PlaneSurgeon, "add_edge_in_face", broken)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    with pytest.raises(ValueError, match="boom"):
+        minimize(square_cycle_plane(), root_dual(ear_clip(sq)))

@@ -27,6 +27,19 @@ def test_pool_digest_runs_every_call():
         assert " rc=3 " not in line and " error=" not in line, line
 
 
+def test_pool_digest_stops_quietly_when_its_reader_closes():
+    # `pool_digest.py decide 1 | head -1`: a truncated digest is no crash
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "scripts/pool_digest.py", "decide", "1"], cwd=ROOT,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait(timeout=300)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
 def test_random_suite_has_no_failures():
     proc = _run("scripts/random_suite.py", "--suite-size", "2", "--seed", "7")
     assert proc.returncode == 0, proc.stderr
