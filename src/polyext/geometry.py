@@ -1,15 +1,22 @@
 """Exact planar primitives over the rationals.
 
-Every predicate in this module is computed with fractions.Fraction; nothing
-here ever rounds or calls into floating point.  Polygons are vertex rings in
-counterclockwise order.  Collinear consecutive vertices are allowed (they are
-harmless subdivision points); coincident consecutive vertices are not.
+Points carry fractions.Fraction coordinates.  Each predicate scales its
+inputs to one common denominator on entry (L > 0, the lcm of their
+denominators) and then decides on Python ints; a derived point such as a cut
+midpoint is a homogeneous integer triple (X, Y, W) with W > 0.  Scaling by a
+positive number keeps every sign, so each answer is that of the rational
+computation, and nothing here rounds or calls into floating point.  Values
+handed back (cut parameters, intersection points, areas) are exact Fractions.
+
+Polygons are vertex rings in counterclockwise order.  Collinear consecutive
+vertices are allowed (they are harmless subdivision points); coincident
+consecutive vertices are not.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union[int, str, Fraction]
@@ -68,18 +75,53 @@ def midpoint(a: Point2, b: Point2) -> Point2:
     return Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
+def _scaled(points: Sequence[Point2]) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(X, Y), ...]): L > 0 is the lcm of the points' denominators and
+    each point equals (X/L, Y/L)."""
+    L = 1
+    for p in points:
+        L = lcm(L, p.x.denominator, p.y.denominator)
+    if L == 1:
+        return 1, [(p.x.numerator, p.y.numerator) for p in points]
+    return L, [(p.x.numerator * (L // p.x.denominator),
+                p.y.numerator * (L // p.y.denominator)) for p in points]
+
+
 def orient(p: Point2, q: Point2, r: Point2) -> int:
     """Sign of the signed area of triangle (p, q, r): +1 ccw, -1 cw, 0 collinear."""
-    v = (q - p).cross(r - p)
+    _, ((px, py), (qx, qy), (rx, ry)) = _scaled((p, q, r))
+    v = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return (v > 0) - (v < 0)
 
 
 def point_on_segment(p: Point2, a: Point2, b: Point2) -> bool:
     """True iff p lies on the closed segment ab (degenerate ab allowed)."""
-    if orient(a, b, p) != 0:
+    _, ((px, py), (ax, ay), (bx, by)) = _scaled((p, a, b))
+    return ((bx - ax) * (py - ay) == (by - ay) * (px - ax)
+            and min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by))
+
+
+def _segments_meet(a: tuple[int, int], b: tuple[int, int],
+                   c: tuple[int, int], d: tuple[int, int]) -> bool:
+    """True iff the closed segments ab and cd of integer points share a point
+    (degenerate segments allowed)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    rx, ry = bx - ax, by - ay
+    oc = rx * (cy - ay) - ry * (cx - ax)
+    od = rx * (dy - ay) - ry * (dx - ax)
+    if (oc > 0 and od > 0) or (oc < 0 and od < 0):
         return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+    sx, sy = dx - cx, dy - cy
+    oa = sx * (ay - cy) - sy * (ax - cx)
+    ob = sx * (by - cy) - sy * (bx - cx)
+    if (oa > 0 and ob > 0) or (oa < 0 and ob < 0):
+        return False
+    if oc or od or oa or ob:
+        return True  # the supporting lines cross, on both segments
+    # All four points on one line: the segments meet iff their boxes do.
+    return (max(min(ax, bx), min(cx, dx)) <= min(max(ax, bx), max(cx, dx))
+            and max(min(ay, by), min(cy, dy)) <= min(max(ay, by), max(cy, dy)))
 
 
 def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2
@@ -89,61 +131,71 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2
     Returns () when disjoint, (p,) for a single common point, and (lo, hi)
     for the ends of a collinear overlap of positive length.
     """
-    r = b - a
-    s = d - c
-    denom = r.cross(s)
-    if denom != 0:
-        t = (c - a).cross(s) / denom
-        u = (c - a).cross(r) / denom
-        return (a + r.scale(t),) if 0 <= t <= 1 and 0 <= u <= 1 else ()
-    # Parallel.
-    if (c - a).cross(r) != 0:
+    ends = (a, b, c, d)
+    L, S = _scaled(ends)
+    if not _segments_meet(*S):
         return ()
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = S
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    den = rx * sy - ry * sx
+    if den != 0:
+        t = (cx - ax) * sy - (cy - ay) * sx  # the point is a + (t/den)(b - a)
+        w = den * L
+        return (Point2(Fraction(ax * den + t * rx, w),
+                       Fraction(ay * den + t * ry, w)),)
     # Collinear: project onto the dominant axis of r (or of s if ab degenerate).
-    axis = r if not r.is_zero() else s
-    if axis.is_zero():
-        return (a,) if a == c else ()
+    ux, uy = (rx, ry) if rx or ry else (sx, sy)
+    k = 0 if abs(ux) >= abs(uy) else 1
 
-    def key(p: Point2) -> Fraction:
-        return p.x if abs(axis.x) >= abs(axis.y) else p.y
+    def key(i: int) -> int:
+        return S[i][k]
 
-    lo = max(min(a, b, key=key), min(c, d, key=key), key=key)
-    hi = min(max(a, b, key=key), max(c, d, key=key), key=key)
-    if key(lo) > key(hi):
-        return ()
-    return (lo,) if lo == hi else (lo, hi)
+    lo = max(min(0, 1, key=key), min(2, 3, key=key), key=key)
+    hi = min(max(0, 1, key=key), max(2, 3, key=key), key=key)
+    return (ends[lo],) if S[lo] == S[hi] else (ends[lo], ends[hi])
 
 
 def line_cuts(a: Point2, b: Point2, p: Point2, q: Point2) -> list[Fraction]:
     """The u in [0, 1] with a + u*(b - a) on the line through p and q (p != q):
     one value where ab crosses or touches the line, [0, 1] when ab lies on it,
     [] when ab misses it."""
-    n = q - p
-    sa = n.cross(a - p)
-    sb = n.cross(b - p)
+    _, ((ax, ay), (bx, by), (px, py), (qx, qy)) = _scaled((a, b, p, q))
+    nx, ny = qx - px, qy - py
+    sa = nx * (ay - py) - ny * (ax - px)
+    sb = nx * (by - py) - ny * (bx - px)
     if sa == sb:  # ab parallel to the line
         return [Fraction(0), Fraction(1)] if sa == 0 else []
-    u = sa / (sa - sb)
-    return [u] if 0 <= u <= 1 else []
+    if (sa > 0 and sb > 0) or (sa < 0 and sb < 0):
+        return []
+    return [Fraction(sa, sa - sb)]
 
 
 def segments_properly_cross(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
     """True iff open segments ab and cd cross at a single transversal point."""
-    if orient(a, b, c) * orient(a, b, d) >= 0:
+    _, ((ax, ay), (bx, by), (cx, cy), (dx, dy)) = _scaled((a, b, c, d))
+    rx, ry = bx - ax, by - ay
+    oc = rx * (cy - ay) - ry * (cx - ax)
+    od = rx * (dy - ay) - ry * (dx - ax)
+    if not (oc > 0 > od or oc < 0 < od):
         return False
-    return orient(c, d, a) * orient(c, d, b) < 0
+    sx, sy = dx - cx, dy - cy
+    oa = sx * (ay - cy) - sy * (ax - cx)
+    ob = sx * (by - cy) - sy * (bx - cx)
+    return oa > 0 > ob or oa < 0 < ob
 
 
 def point_in_triangle(p: Point2, a: Point2, b: Point2, c: Point2) -> str:
     """Locate p relative to the closed triangle abc (must not be degenerate)."""
-    o = orient(a, b, c)
+    _, ((px, py), (ax, ay), (bx, by), (cx, cy)) = _scaled((p, a, b, c))
+    o = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if o == 0:
         raise ValueError("degenerate triangle")
     if o < 0:
-        b, c = c, b
-    s1 = orient(a, b, p)
-    s2 = orient(b, c, p)
-    s3 = orient(c, a, p)
+        bx, by, cx, cy = cx, cy, bx, by
+    s1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    s2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+    s3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
     if s1 < 0 or s2 < 0 or s3 < 0:
         return OUTSIDE
     if s1 == 0 or s2 == 0 or s3 == 0:
@@ -184,13 +236,16 @@ class SimplePolygon:
         return [(self.points[i], self.points[(i + 1) % n]) for i in range(n)]
 
 
+def _area2(P: Sequence[tuple[int, int]]) -> int:
+    """Twice the signed area of the integer ring P."""
+    return sum(x0 * y1 - y0 * x1
+               for (x0, y0), (x1, y1) in zip(P, [*P[1:], *P[:1]]))
+
+
 def signed_area2(points: Sequence[Point2]) -> Fraction:
     """Twice the signed area of the ring (positive for ccw)."""
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        total += points[i].cross(points[(i + 1) % n])
-    return total
+    L, P = _scaled(points)
+    return Fraction(_area2(P), L * L)
 
 
 def is_simple_polygon(points: Sequence[Point2]) -> bool:
@@ -203,44 +258,59 @@ def is_simple_polygon(points: Sequence[Point2]) -> bool:
     n = len(points)
     if n < 3:
         return False
-    for i in range(n):
-        if points[i] == points[(i + 1) % n]:
-            return False
-    if signed_area2(points) == 0:
+    _, P = _scaled(points)
+    if any(P[i - 1] == P[i] for i in range(n)):
+        return False
+    if _area2(P) == 0:
         return False
     for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        c = points[(i + 2) % n]
+        (ax, ay), (bx, by), (cx, cy) = P[i - 2], P[i - 1], P[i]
         # Spike test at the shared vertex b of edges (a,b), (b,c).
-        if orient(a, b, c) == 0 and (a - b).dot(c - b) > 0:
+        if ((bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
+                and (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0):
             return False
     for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent (handled by the spike test above)
-            c, d = points[j], points[(j + 1) % n]
-            if segment_intersection(a, b, c, d):
+        a, b = P[i], P[(i + 1) % n]
+        # skip j == i + 1 and, for i == 0, j == n - 1: adjacent edges are
+        # handled by the spike test above
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if _segments_meet(a, b, P[j], P[(j + 1) % n]):
                 return False
     return True
 
 
+def _ring_locate(X: int, Y: int, W: int, P: Sequence[tuple[int, int]]) -> str:
+    """Locate the point (X/W, Y/W), W > 0, against the integer ccw ring P.
+
+    Boundary contact wins; otherwise a half-open crossing count decides."""
+    if W == 1:
+        rel = [(x - X, y - Y) for x, y in P]
+    else:
+        rel = [(x * W - X, y * W - Y) for x, y in P]
+    inside = False
+    ax, ay = rel[-1]
+    for bx, by in rel:
+        # the edge from a to b, with the query point at the origin
+        if not ((ay > 0 and by > 0) or (ay < 0 and by < 0)):
+            det = ax * by - ay * bx  # orientation of (a, b, origin)
+            if det == 0:
+                if ax <= 0 <= bx or bx <= 0 <= ax:
+                    return BOUNDARY
+            elif ay <= 0 < by:
+                if det > 0:
+                    inside = not inside
+            elif by <= 0 < ay:
+                if det < 0:
+                    inside = not inside
+        ax, ay = bx, by
+    return INTERIOR if inside else OUTSIDE
+
+
 def point_in_ring(q: Point2, pts: Sequence[Point2]) -> str:
     """Point location against a raw ccw vertex ring (no simplicity check)."""
-    n = len(pts)
-    for i in range(n):
-        if point_on_segment(q, pts[i], pts[(i + 1) % n]):
-            return BOUNDARY
-    inside = False
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a.y <= q.y < b.y:
-            if orient(a, b, q) > 0:
-                inside = not inside
-        elif b.y <= q.y < a.y:
-            if orient(a, b, q) < 0:
-                inside = not inside
-    return INTERIOR if inside else OUTSIDE
+    _, P = _scaled((q, *pts))
+    X, Y = P[0]
+    return _ring_locate(X, Y, 1, P[1:])
 
 
 class EndpointOutsideError(ValueError):
@@ -263,20 +333,46 @@ def segment_inside_ring(a: Point2, b: Point2, pts: Sequence[Point2]) -> bool:
     an endpoint is strictly outside; grazing contact with the boundary
     (touching vertices, running along edges) is allowed as long as the
     segment never enters the exterior.
+
+    The parameters along ab where it meets the ring cut it into pieces, each
+    wholly inside or wholly outside; the midpoint of each piece decides it.
     """
-    if point_in_ring(a, pts) == OUTSIDE or point_in_ring(b, pts) == OUTSIDE:
+    _, P = _scaled((a, b, *pts))
+    (ax, ay), (bx, by) = P[0], P[1]
+    P = P[2:]
+    if (_ring_locate(ax, ay, 1, P) == OUTSIDE
+            or _ring_locate(bx, by, 1, P) == OUTSIDE):
         raise EndpointOutsideError("segment endpoint outside polygon")
-    if a == b:
+    if ax == bx and ay == by:
         return True
-    d = b - a
-    params = {Fraction(0), Fraction(1)}
-    n = len(pts)
-    for i in range(n):
-        for h in segment_intersection(a, b, pts[i], pts[(i + 1) % n]):
-            params.add(param_along(h, a, d))
-    cuts = sorted(u for u in params if 0 <= u <= 1)
+    dx, dy = bx - ax, by - ay
+    side = [dx * (y - ay) - dy * (x - ax) for x, y in P]  # vertex vs line ab
+    params = {0, 1}
+    for i in range(len(P)):
+        sc, se = side[i - 1], side[i]  # the edge c = P[i-1] to e = P[i]
+        if (sc > 0 and se > 0) or (sc < 0 and se < 0):
+            continue
+        (cx, cy), (ex, ey) = P[i - 1], P[i]
+        if sc == se:  # the edge lies on the line: keep its ends on ab
+            dd = dx * dx + dy * dy
+            for x, y in ((cx, cy), (ex, ey)):
+                t = dx * (x - ax) + dy * (y - ay)
+                if 0 <= t <= dd:
+                    params.add(Fraction(t, dd))
+        else:  # the line crosses the edge: keep the crossing if on ab
+            den = se - sc
+            t = (cx - ax) * (ey - cy) - (cy - ay) * (ex - cx)
+            if den < 0:
+                t, den = -t, -den
+            if 0 <= t <= den:
+                params.add(Fraction(t, den))
+    cuts = sorted(params)
     for u1, u2 in zip(cuts, cuts[1:]):
-        if point_in_ring(a + d.scale((u1 + u2) / 2), pts) == OUTSIDE:
+        # the midpoint a + (N/W)(b - a) of the piece, as (X, Y, W)
+        n1, d1, n2, d2 = u1.numerator, u1.denominator, u2.numerator, u2.denominator
+        W = 2 * d1 * d2
+        N = n1 * d2 + n2 * d1
+        if _ring_locate(ax * W + N * dx, ay * W + N * dy, W, P) == OUTSIDE:
             return False
     return True
 
@@ -293,7 +389,7 @@ def primitive_direction(v: Point2) -> tuple[int, int]:
     den = v.x.denominator * v.y.denominator
     xi = v.x.numerator * (den // v.x.denominator)
     yi = v.y.numerator * (den // v.y.denominator)
-    g = math.gcd(abs(xi), abs(yi))
+    g = gcd(abs(xi), abs(yi))
     return (xi // g, yi // g)
 
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .conditions import TripleViolation
-from .geometry import (Point2, SimplePolygon, PolygonError, OUTSIDE,
-                       EndpointOutsideError, orient, point_in_ring,
-                       point_on_segment, segment_inside_polygon,
-                       segment_intersection, segments_properly_cross)
+from .geometry import (Point2, SimplePolygon, PolygonError, BOUNDARY,
+                       INTERIOR, OUTSIDE, EndpointOutsideError, orient,
+                       param_along, point_in_ring, point_on_segment,
+                       segment_inside_polygon, segment_intersection,
+                       segments_properly_cross)
 from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
                     graph_distances, validate_instance)
 from .triangulation import (Triangulation, TriangulationError, root_dual,
@@ -27,6 +28,145 @@ from .planar import PlaneSurgeon, PlanarError
 
 class OracleLimit(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Reference geometry: the predicates computed on Point2/Fraction arithmetic,
+# for differential tests of the integer kernel in geometry.
+# ---------------------------------------------------------------------------
+
+def orient_reference(p: Point2, q: Point2, r: Point2) -> int:
+    v = (q - p).cross(r - p)
+    return (v > 0) - (v < 0)
+
+
+def point_on_segment_reference(p: Point2, a: Point2, b: Point2) -> bool:
+    if orient_reference(a, b, p) != 0:
+        return False
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def segment_intersection_reference(a: Point2, b: Point2, c: Point2,
+                                   d: Point2) -> tuple[Point2, ...]:
+    r = b - a
+    s = d - c
+    denom = r.cross(s)
+    if denom != 0:
+        t = (c - a).cross(s) / denom
+        u = (c - a).cross(r) / denom
+        return (a + r.scale(t),) if 0 <= t <= 1 and 0 <= u <= 1 else ()
+    # Parallel, or one point a off the line cd.
+    if (c - a).cross(r) != 0 or (c - a).cross(s) != 0:
+        return ()
+    # Collinear: project onto the dominant axis of r (or of s if ab degenerate).
+    axis = r if not r.is_zero() else s
+    if axis.is_zero():
+        return (a,) if a == c else ()
+
+    def key(p: Point2) -> Fraction:
+        return p.x if abs(axis.x) >= abs(axis.y) else p.y
+
+    lo = max(min(a, b, key=key), min(c, d, key=key), key=key)
+    hi = min(max(a, b, key=key), max(c, d, key=key), key=key)
+    if key(lo) > key(hi):
+        return ()
+    return (lo,) if lo == hi else (lo, hi)
+
+
+def line_cuts_reference(a: Point2, b: Point2, p: Point2, q: Point2
+                        ) -> list[Fraction]:
+    n = q - p
+    sa = n.cross(a - p)
+    sb = n.cross(b - p)
+    if sa == sb:  # ab parallel to the line
+        return [Fraction(0), Fraction(1)] if sa == 0 else []
+    u = sa / (sa - sb)
+    return [u] if 0 <= u <= 1 else []
+
+
+def segments_properly_cross_reference(a: Point2, b: Point2, c: Point2,
+                                      d: Point2) -> bool:
+    if orient_reference(a, b, c) * orient_reference(a, b, d) >= 0:
+        return False
+    return orient_reference(c, d, a) * orient_reference(c, d, b) < 0
+
+
+def point_in_triangle_reference(p: Point2, a: Point2, b: Point2,
+                                c: Point2) -> str:
+    o = orient_reference(a, b, c)
+    if o == 0:
+        raise ValueError("degenerate triangle")
+    if o < 0:
+        b, c = c, b
+    s = [orient_reference(a, b, p), orient_reference(b, c, p),
+         orient_reference(c, a, p)]
+    if min(s) < 0:
+        return OUTSIDE
+    return BOUNDARY if 0 in s else INTERIOR
+
+
+def is_simple_polygon_reference(points: list[Point2]) -> bool:
+    n = len(points)
+    if n < 3:
+        return False
+    if any(points[i] == points[(i + 1) % n] for i in range(n)):
+        return False
+    if sum((points[i].cross(points[(i + 1) % n]) for i in range(n)),
+           Fraction(0)) == 0:
+        return False  # zero area
+    for i in range(n):
+        a, b, c = points[i], points[(i + 1) % n], points[(i + 2) % n]
+        if orient_reference(a, b, c) == 0 and (a - b).dot(c - b) > 0:
+            return False  # a spike at b
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges
+            if segment_intersection_reference(
+                    points[i], points[(i + 1) % n],
+                    points[j], points[(j + 1) % n]):
+                return False
+    return True
+
+
+def point_in_ring_reference(q: Point2, pts: list[Point2]) -> str:
+    n = len(pts)
+    for i in range(n):
+        if point_on_segment_reference(q, pts[i], pts[(i + 1) % n]):
+            return BOUNDARY
+    inside = False
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a.y <= q.y < b.y:
+            if orient_reference(a, b, q) > 0:
+                inside = not inside
+        elif b.y <= q.y < a.y:
+            if orient_reference(a, b, q) < 0:
+                inside = not inside
+    return INTERIOR if inside else OUTSIDE
+
+
+def segment_inside_ring_reference(a: Point2, b: Point2, pts: list[Point2]
+                                  ) -> bool:
+    if (point_in_ring_reference(a, pts) == OUTSIDE
+            or point_in_ring_reference(b, pts) == OUTSIDE):
+        raise EndpointOutsideError("segment endpoint outside polygon")
+    if a == b:
+        return True
+    d = b - a
+    params = {Fraction(0), Fraction(1)}
+    n = len(pts)
+    for i in range(n):
+        for h in segment_intersection_reference(a, b, pts[i],
+                                                pts[(i + 1) % n]):
+            params.add(param_along(h, a, d))
+    cuts = sorted(u for u in params if 0 <= u <= 1)
+    for u1, u2 in zip(cuts, cuts[1:]):
+        mid = a + d.scale((u1 + u2) / 2)
+        if point_in_ring_reference(mid, pts) == OUTSIDE:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -152,15 +152,12 @@ def _arm_graft(depth: int, target_in: Point2, target_out: Point2
     """Ccw boundary chain of a spiral arm opening at the chord
     (target_out, target_in): inner wall inward, anchor, outer wall back out.
 
-    The chain has 2*depth - 1 vertices with the anchor in the middle.  The
-    arm body lies beyond the chord, on its perp_ccw(target_in - target_out)
-    side; link distance from the anchor to points past the chord is exactly
-    `depth`.
+    The chain has 2*depth - 1 vertices with the anchor in the middle, for
+    depth >= 2 (a depth-1 arm is its tip alone, which the caller places).
+    The arm body lies beyond the chord, on its
+    perp_ccw(target_in - target_out) side; link distance from the anchor to
+    points past the chord is exactly `depth`.
     """
-    if depth == 1:
-        beyond = (target_in - target_out).perp_ccw()
-        apex = midpoint(target_in, target_out) + beyond.scale(Fraction(8))
-        return [apex]
     q = depth - 1
     outer, inner, core, _mouth = _spiral_ring(q)
     # The corridor's exit chord spans from the outer wall's last corner,

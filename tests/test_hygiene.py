@@ -12,13 +12,20 @@
   head.  The one exception is ``cli.py``, whose subcommands (``cmd_*``)
   import the planar, witness and SVG layers lazily to keep ``check``'s
   start-up small.
+- Every name a function or class body reads as an implicit global is bound
+  at its module's top level (assigned, imported or defined) or is a
+  builtin or a module dunder such as ``__file__``, so a missing import
+  fails here, not only when its branch first runs.
 - Every ``module.function`` the benchmark's tracer wraps
   (``perfbench/tracing.py``, ``TARGETS``) names a callable of the package,
   so renaming a traced entry point fails here, not in the traced bench.
 """
 import ast
+import builtins
 import importlib
 import os
+import re
+import symtable
 
 import pytest
 
@@ -26,9 +33,13 @@ PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "polyext")
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 
 
-def _tree(name):
+def _source(name):
     with open(os.path.join(PACKAGE, name)) as fh:
-        return ast.parse(fh.read(), filename=name)
+        return fh.read()
+
+
+def _tree(name):
+    return ast.parse(_source(name), filename=name)
 
 
 def _broad_handlers(tree):
@@ -115,6 +126,38 @@ def test_imports_at_module_level(name):
     if name == "cli.py":
         found = [(f, line) for f, line in found if not f.startswith("cmd_")]
     assert found == [], f"{name}: function-local imports at {found}"
+
+
+def _unbound_reads(name):
+    """(scope, name) of every implicit-global read, in any function or class
+    body of the module, of a name that is neither bound at the module's top
+    level nor a builtin nor a module dunder."""
+    top = symtable.symtable(_source(name), name, "exec")
+    known = set(dir(builtins)) | {
+        sym.get_name() for sym in top.get_symbols()
+        if sym.is_assigned() or sym.is_imported()}
+    dunder = re.compile(r"__\w+__\Z")
+    out = []
+
+    def visit(table):
+        for child in table.get_children():
+            out.extend(
+                (child.get_name(), sym.get_name())
+                for sym in child.get_symbols()
+                if sym.is_referenced() and sym.is_global()
+                and not sym.is_declared_global()
+                and sym.get_name() not in known
+                and not dunder.match(sym.get_name()))
+            visit(child)
+
+    visit(top)
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_functions_read_only_bound_names(name):
+    found = _unbound_reads(name)
+    assert found == [], f"{name}: reads of unbound names {found}"
 
 
 def _traced_targets():
