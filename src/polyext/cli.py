@@ -14,10 +14,10 @@ import traceback
 from typing import Optional
 
 from . import jsonio
-from .conditions import (check_pair, check_universality, PairViolation,
-                         _first_triple_violation)
+from .conditions import (check_pair, check_triple, check_universality,
+                         PairConditionError, PairViolation)
 from .geometry import SimplePolygon
-from .model import Instance, graph_distances
+from .model import Instance
 from .sketch import sketch_linear, realize, validate_respecting
 from .triangulation import ear_clip, root_dual
 from .jsonio import SchemaError
@@ -107,18 +107,15 @@ def cmd_draw(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _pick_violation(inst: Instance, kind: Optional[str]):
-    dt = graph_distances(inst)
-    pair = check_pair(inst, dt)
     if kind == "pair":
-        return pair
+        return check_pair(inst)
     if kind == "triple":
-        if pair is not None:
+        try:
+            return check_triple(inst)
+        except PairConditionError:
             raise SchemaError(
                 "triple condition is undefined while the pair condition fails")
-        return _first_triple_violation(inst, dt)
-    if pair is not None:
-        return pair
-    return _first_triple_violation(inst, dt)
+    return check_universality(inst).violation
 
 
 def cmd_witness(args) -> int:

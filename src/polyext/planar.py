@@ -8,10 +8,14 @@ the simplification journal backwards with epsilon-perturbations produces a
 planar drawing inside the polygon.
 
 Augmentation sketch-tests each chord before it adds it, so nothing is rolled
-back.  Each replay step is checked locally: planarity of what it moved, plus
-one point-in-polygon test per re-placed vertex (segment containment follows
-from planarity, see _locally_valid).  Only the finished drawing takes the
-full planarity and polygon-respect checks.
+back.  The journal is replayed once, at default_epsilon.  A contraction is
+undone by trying split points on one ladder (shrinking distance, then wedge
+weight, then wedge) until one passes; no other step retries, and a split
+that fits nowhere on the ladder raises PlanarError (exit 3 in the CLI, never
+a verdict).  Each replay step is checked locally: planarity of what it
+moved, plus one point-in-polygon test per re-placed vertex (segment
+containment follows from planarity, see _locally_valid).  Only the finished
+drawing takes the full planarity and polygon-respect checks.
 """
 from __future__ import annotations
 
@@ -304,10 +308,7 @@ def _split_quad(s: PlaneSurgeon, va: int, vb: int, ub: int, ua: int,
                 tri: Triangulation, journal: list[JournalStep]):
     """Triangulate the quad face (va, vb, ub, ua) left between a face walk
     edge and the doubled cycle, keeping the coarsest sketch defined."""
-    quad = next((f for f in s.interior_faces()
-                 if len(f) == 4 and {va, vb, ub, ua} <= set(f)), None)
-    if quad is None:
-        raise PlanarError("doubled-cycle quad face not found")
+    quad = _face_of_cycle(s, [va, vb, ub, ua])
     for p, q in ((ua, vb), (va, ub)):
         if _add_if_sketchable(s, quad, p, q, tri, journal):
             return
@@ -350,7 +351,7 @@ def _face_of_cycle(s: PlaneSurgeon, cyc: list[int]) -> list[int]:
     for f in s.interior_faces():
         if len(f) == len(cyc) and set(f) == want:
             return f
-    raise PlanarError("inner cycle face not found")
+    raise PlanarError(f"no interior face bounded by {cyc}")
 
 
 def find_separating_triangles(plane: PlaneInstance
@@ -445,13 +446,9 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
             continue  # merging two cycle vertices would destroy C
         keep, drop = (v, u) if v in on_c else (u, v)
         s = PlaneSurgeon(plane)
-        try:
-            common = s.contract(keep, drop)
-        except PlanarError:
-            continue
+        common = s.contract(keep, drop)
         cand = s.plane
-        if validate_plane_instance(cand):
-            continue
+        _assert_valid(cand)
         if not _sketchable(cand, tri):
             continue
         journal: list[JournalStep] = [ContractedEdge(v=drop, z=keep,
@@ -564,28 +561,16 @@ def _angular_contains(base: Point2, d1: Point2, d2: Point2, q: Point2) -> bool:
 
 def accommodate(plane: PlaneInstance, polygon: SimplePolygon,
                 tri: Optional[Triangulation] = None) -> Drawing:
-    """Planar polygon-respecting drawing of a sketchable plane instance."""
+    """Planar polygon-respecting drawing of a sketchable plane instance.
+
+    The journal is replayed once; a split that fits nowhere on its shrink
+    ladder raises PlanarError.
+    """
     if tri is None:
         tri = root_dual(ear_clip(polygon))
-    if tri.root is None:
-        tri = root_dual(tri)
     epsilon = default_epsilon(polygon, tri)
-    original = plane.instance
     minimal, journal = minimize(plane, tri)
-    last_error = "no attempts made"
-    for attempt in range(40):
-        eps = epsilon / (4 ** attempt)
-        try:
-            drawing = _replay(minimal, journal, polygon, tri, eps, original)
-            return drawing
-        except _ReplayFailure as exc:
-            last_error = str(exc)
-            continue
-    raise PlanarError(f"replay failed at every epsilon: {last_error}")
-
-
-class _ReplayFailure(Exception):
-    pass
+    return _replay(minimal, journal, polygon, tri, epsilon, plane.instance)
 
 
 def _replay(minimal: PlaneInstance, journal: list[JournalStep],
@@ -606,15 +591,15 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
             cur = step.snapshot
             if not _locally_valid(pos, cur.instance, polygon,
                                   step.sub_vertices[3:]):
-                raise _ReplayFailure("re-inserted interior breaks the drawing")
+                raise PlanarError("re-inserted interior breaks the drawing")
     # augmentation steps move nothing: their vertices have ids past the
     # original range and are dropped here
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
-        raise _ReplayFailure("final drawing not planar")
+        raise PlanarError("final drawing not planar")
     if not validate_respecting(drawing, original, polygon).ok:
-        raise _ReplayFailure("final drawing leaves the polygon")
+        raise PlanarError("final drawing leaves the polygon")
     return drawing
 
 
@@ -672,14 +657,13 @@ def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
     local = min(abs(p.x - zp.x) + abs(p.y - zp.y)
                 for w, p in new_pos.items() if w != v and p != zp)
     base = min(eps, local / 4)
+    wedges = [(d1, d2) for d1, d2 in ((dx, dy), (dy, dx))
+              if all(_angular_contains(zp, zp + d1, zp + d2, new_pos[w])
+                     for w in others)]
     for shrink in range(12):
         dist = base / (4 ** shrink)
         for weight in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3)):
-            for d1, d2 in ((dx, dy), (dy, dx)):
-                if others and not all(
-                        _angular_contains(zp, zp + d1, zp + d2, new_pos[w])
-                        for w in others):
-                    continue
+            for d1, d2 in wedges:
                 try:
                     direction = _wedge_direction(d1, d2, weight)
                 except PlanarError:
@@ -689,7 +673,7 @@ def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
                 cand[v] = zp + direction.scale(dist / ln)
                 if _locally_valid(cand, before.instance, polygon, [v]):
                     return cand
-    raise _ReplayFailure(f"could not split vertex {v} off {z}")
+    raise PlanarError(f"could not split vertex {v} off {z}")
 
 
 def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,
@@ -708,7 +692,7 @@ def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,
     a, b, c = step.sub_vertices[:3]
     pa, pb, pc = new_pos[a], new_pos[b], new_pos[c]
     if orient(pa, pb, pc) == 0:
-        raise _ReplayFailure("stripped triangle drawn degenerate")
+        raise PlanarError("stripped triangle drawn degenerate")
     corners = [pa, pb, pc]
     sub = step.sub_plane
     if orient(pa, pb, pc) < 0:

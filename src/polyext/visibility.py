@@ -308,14 +308,22 @@ def link_ball(poly: SimplePolygon, a: Point2, k: int) -> LinkRegion:
     return LinkRegion(ring=ring, depth=k, windows=windows)
 
 
-def link_distance(poly: SimplePolygon, a: Point2, b: Point2,
-                  max_depth: int = 64) -> Optional[int]:
+def link_distance(poly: SimplePolygon, a: Point2, b: Point2) -> Optional[int]:
+    """Link distance from a to b.
+
+    Fix any triangulation.  Ball 1 holds a closed triangle at a, and ball
+    k+1 holds every triangle that shares a diagonal with a triangle in ball
+    k, so ball 1+d covers every triangle within dual distance d.  The dual
+    tree has t-2 nodes, so no search passes depth t-2; one that does is a
+    bug and raises VisibilityError.
+    """
     if point_in_ring(a, poly.points) == OUTSIDE \
             or point_in_ring(b, poly.points) == OUTSIDE:
         raise VisibilityError("query point outside polygon")
     for depth, ring in enumerate(link_rings(poly, a), start=1):
-        if depth > max_depth:
-            raise VisibilityError("link-distance search exceeded max depth")
+        if depth > len(poly) - 2:
+            raise VisibilityError(
+                f"link-distance search passed depth {len(poly) - 2}")
         if point_in_ring(b, ring) != OUTSIDE:
             return depth
     return None

@@ -393,3 +393,75 @@ def test_verify_rejects_dangling_simplex_record(workdir, tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out == {"status": "invalid-input", "error": "drawing has "
                        "simplex records for unknown vertices [7]"}
+
+
+def _hub_c6_instance(tmp_path):
+    """C6 plus a hub on three alternating cycle vertices (a triple
+    violation at positions 1, 3, 5), on disk."""
+    inst = Instance(n=7,
+                    edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                           (0, 6), (2, 6), (4, 6)],
+                    cycle=[0, 1, 2, 3, 4, 5])
+    p = str(tmp_path / "hub_c6.json")
+    with open(p, "w") as fh:
+        fh.write(dumps(instance_to_json(inst)))
+    return p
+
+
+def test_witness_kind_pair(tmp_path, capsys):
+    out_path = str(tmp_path / "witness.json")
+    rc = main(["witness", _chord_instance(tmp_path), "-o", out_path,
+               "--kind", "pair"])
+    assert rc == EXIT_POSITIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "pair"
+    assert out["violation"]["kind"] == "pair"
+    assert os.path.exists(out_path)
+
+
+def test_witness_kind_triple_with_svg(tmp_path, capsys):
+    out_path = str(tmp_path / "witness.json")
+    svg_path = str(tmp_path / "witness.svg")
+    rc = main(["witness", _hub_c6_instance(tmp_path), "-o", out_path,
+               "--kind", "triple", "--svg", svg_path])
+    assert rc == EXIT_POSITIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "triple"
+    assert (out["violation"]["i"], out["violation"]["j"],
+            out["violation"]["k"]) == (1, 3, 5)
+    assert "<svg" in open(svg_path).read()
+
+
+def test_witness_kind_triple_needs_the_pair_condition(tmp_path, capsys):
+    out_path = str(tmp_path / "witness.json")
+    rc = main(["witness", _chord_instance(tmp_path), "-o", out_path,
+               "--kind", "triple"])
+    assert rc == EXIT_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "invalid-input",
+                   "error": "triple condition is undefined while the pair "
+                            "condition fails"}
+    assert not os.path.exists(out_path)
+
+
+def test_verify_planar_rejects_crossing_drawing(workdir, tmp_path, capsys):
+    # both diagonals of the square: inside the polygon, but crossing
+    inst = Instance(n=4, edges=[(0, 1), (1, 2), (2, 3), (0, 3), (0, 2),
+                                (1, 3)], cycle=[0, 1, 2, 3])
+    inst_path = str(tmp_path / "diagonals.json")
+    with open(inst_path, "w") as fh:
+        fh.write(dumps(instance_to_json(inst)))
+    square = load(workdir["polygon"])["points"]
+    drawing_path = str(tmp_path / "crossing.json")
+    with open(drawing_path, "w") as fh:
+        fh.write(dumps({"positions": {str(v): p
+                                      for v, p in enumerate(square)}}))
+    rc = main(["verify", drawing_path, inst_path, workdir["polygon"]])
+    assert rc == EXIT_POSITIVE
+    capsys.readouterr()
+    rc = main(["verify", drawing_path, inst_path, workdir["polygon"],
+               "--planar"])
+    assert rc == EXIT_NEGATIVE
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "invalid-drawing",
+                   "failures": ["drawing is not planar"]}

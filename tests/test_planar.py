@@ -6,7 +6,9 @@ import pytest
 import polyext.planar as planar
 from polyext.geometry import SimplePolygon, pt, point_in_ring, OUTSIDE
 from polyext.model import Instance, PlaneInstance, validate_plane_instance
-from polyext.jsonio import dumps, drawing_to_json, load, plane_instance_from_json
+from polyext.conditions import check_universality
+from polyext.jsonio import (dumps, drawing_to_json, load,
+                            plane_instance_from_json, polygon_from_json)
 from polyext.triangulation import ear_clip, root_dual
 from polyext.oracle import random_plane_instance, random_polygon
 from polyext.planar import (minimize, accommodate, validate_planar,
@@ -287,3 +289,70 @@ def test_surgery_failure_is_not_a_refused_chord(monkeypatch):
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     with pytest.raises(ValueError, match="boom"):
         minimize(square_cycle_plane(), root_dual(ear_clip(sq)))
+
+
+def test_replay_runs_once(monkeypatch):
+    # with every split candidate refused, the first contraction undone runs
+    # through its whole ladder and raises; the journal is not replayed again
+    # at a smaller epsilon
+    replays = []
+    replay = planar._replay
+
+    def count_replay(*args):
+        replays.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(planar, "_replay", count_replay)
+    monkeypatch.setattr(planar, "_locally_valid", lambda *args: False)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    with pytest.raises(PlanarError, match="could not split vertex"):
+        accommodate(wheel_plane(4), sq)
+    assert len(replays) == 1
+
+
+def square_with(edges, rotation, n):
+    """The bare square cycle plus a stray part on vertices 4..n-1."""
+    plane = square_cycle_plane()
+    rot = dict(plane.rotation)
+    rot.update(rotation)
+    inst = Instance(n=n, edges=plane.instance.edges + edges,
+                    cycle=plane.instance.cycle)
+    return PlaneInstance(inst, rot)
+
+
+@pytest.mark.parametrize("edges, rotation, n", [
+    ([], {4: []}, 5),
+    ([(4, 5)], {4: [5], 5: [4]}, 6),
+    ([(4, 5), (5, 6), (4, 6)], {4: [5, 6], 5: [6, 4], 6: [4, 5]}, 7),
+    ([(4, 5), (5, 6), (4, 6)], {4: [6, 5], 5: [4, 6], 6: [5, 4]}, 7),
+    ([(4, 5), (5, 6)], {4: [5], 5: [4, 6], 6: [5]}, 7),
+], ids=["isolated-vertex", "stray-edge", "stray-triangle-ccw",
+        "stray-triangle-cw", "stray-path"])
+def test_stray_parts_are_connected_and_drawn(edges, rotation, n):
+    plane = square_with(edges, rotation, n)
+    assert validate_plane_instance(plane) == []
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    tri = root_dual(ear_clip(sq))
+    _, journal = planar.augment_triangulated(plane, tri)
+    # the stray part is joined through its smallest vertex before anything
+    # else is added
+    assert journal[0] == planar.AddedEdge(0, 4)
+    d = accommodate(plane, sq, tri)
+    assert validate_planar(d, plane.instance)
+    assert validate_respecting(d, plane.instance, sq).ok
+
+
+@pytest.mark.xfail(strict=True, raises=PlanarError,
+                   reason="known defect: an earlier split leaves a sliver "
+                          "between v->2 and v->13 that no split candidate "
+                          "on the shrink ladder lands in")
+def test_split_sliver_instance_draws():
+    # the instance passes both distance conditions, yet replay cannot split
+    # vertex 10 off 0 (see ROADMAP item 4)
+    plane = plane_instance_from_json(
+        load(fixture_path("split_sliver_plane_instance.json")))
+    poly = polygon_from_json(load(fixture_path("split_sliver_polygon.json")))
+    assert check_universality(plane.instance).universal
+    d = accommodate(plane, poly)
+    assert validate_planar(d, plane.instance)
+    assert validate_respecting(d, plane.instance, poly).ok

@@ -90,3 +90,21 @@ def test_spiral_link_distance(k):
     poly = SimplePolygon([core] + outer + [mouth] + inner)
     assert link_distance(poly, core, mouth) == k + 1
     assert link_distance_pointwise(poly, core, mouth) == k + 1
+
+
+def test_link_distance_depth_bound_is_t_minus_2(l_polygon, monkeypatch):
+    # an expansion that never converges (the same region, rotated) must be
+    # stopped at depth t-2 = 4, where every ball already covers the polygon
+    import polyext.visibility as visibility
+    expansions = []
+
+    def rotate(poly, ring):
+        expansions.append(ring)
+        return ring[1:] + ring[:1]
+
+    monkeypatch.setattr(visibility, "_expand_once", rotate)
+    a = Point2(Fraction(7, 4), Fraction(1, 2))
+    b = Point2(Fraction(1, 2), Fraction(7, 4))
+    with pytest.raises(VisibilityError, match="passed depth 4"):
+        link_distance(l_polygon, a, b)
+    assert len(expansions) == len(l_polygon) - 2
