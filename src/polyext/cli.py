@@ -14,8 +14,7 @@ import traceback
 from typing import Optional
 
 from . import jsonio
-from .conditions import (check_pair, check_triple, check_universality,
-                         PairConditionError, PairViolation)
+from .conditions import check_universality
 from .geometry import SimplePolygon
 from .model import Instance
 from .sketch import sketch_linear, realize, validate_respecting
@@ -32,9 +31,13 @@ def _emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(obj))
 
 
+def _kind(violation) -> str:
+    return "triple" if hasattr(violation, "k") else "pair"
+
+
 def _violation_json(v) -> dict:
     out = dataclasses.asdict(v)
-    out["kind"] = "pair" if isinstance(v, PairViolation) else "triple"
+    out["kind"] = _kind(v)
     return out
 
 
@@ -106,35 +109,28 @@ def cmd_draw(args) -> int:
 # witness
 # ---------------------------------------------------------------------------
 
-def _pick_violation(inst: Instance, kind: Optional[str]):
-    if kind == "pair":
-        return check_pair(inst)
-    if kind == "triple":
-        try:
-            return check_triple(inst)
-        except PairConditionError:
-            raise SchemaError(
-                "triple condition is undefined while the pair condition fails")
-    return check_universality(inst).violation
+# --kind asserts the kind of the violation check_universality reports
+_KIND_MISMATCH = {
+    "pair": "pair condition holds; the instance violates the triple condition",
+    "triple": "triple condition is undefined while the pair condition fails",
+}
 
 
 def cmd_witness(args) -> int:
-    # build_witness certifies its polygon with the link-distance engine and
-    # raises WitnessError (exit 3) when the certificate fails, so the
-    # independent witness.verify_witness is left to the tests.
     from .witness import build_witness
     inst = _load_instance(args.instance)
-    violation = _pick_violation(inst, args.kind)
+    violation = check_universality(inst).violation
     if violation is None:
         _emit({"status": "universal", "note": "no witness exists"})
         return EXIT_NEGATIVE
+    if args.kind is not None and args.kind != _kind(violation):
+        raise SchemaError(_KIND_MISMATCH[args.kind])
     w = build_witness(inst, violation)
     jsonio.save(args.output, jsonio.polygon_to_json(w.polygon))
     note_path = args.output + ".note.json"
     jsonio.save(note_path, jsonio.witness_note_to_json(w.note))
     if args.svg is not None:
         from .svg import witness_svg
-        depths = None
         if w.note.kind == "pair":
             depths = {p: violation.d_g for p in w.note.anchors}
         else:
@@ -215,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="emit a counterexample polygon")
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--kind", choices=["pair", "triple"], default=None)
+    p.add_argument("--kind", choices=["pair", "triple"], default=None,
+                   help="assert the kind of the violation that check reports "
+                        "(exit 2 when it is the other kind)")
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_witness)
 

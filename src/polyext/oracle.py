@@ -17,8 +17,8 @@ from .geometry import (Point2, SimplePolygon, PolygonError, BOUNDARY,
                        segments_properly_cross)
 from .model import (Instance, PlaneInstance, DistanceTable, cycle_distance,
                     graph_distances, validate_instance)
-from .triangulation import (Triangulation, TriangulationError, root_dual,
-                            ear_clip, validate_triangulation, _canon,
+from .triangulation import (Pocket, Triangulation, TriangulationError,
+                            root_dual, ear_clip, validate_triangulation, _canon,
                             _interleave, _split_ring)
 from .sketch import (Simplex, SimplexTable, SketchError, simplex_meet,
                      _check_rooted)
@@ -258,6 +258,12 @@ class PocketMaps:
         return out
 
 
+def _root_pockets(tri: Triangulation) -> list[Pocket]:
+    """The three pockets cut off by the root triangle's sides."""
+    a, b, c = tri.triangles[tri.root]
+    return [tri.pockets[e] for e in (_canon(a, b), _canon(b, c), _canon(a, c))]
+
+
 def lambda_plus(edge: tuple[int, int], inst: Instance, tri: Triangulation
                 ) -> Optional[dict[int, Simplex]]:
     return PocketMaps(inst, tri).lam_plus(edge)
@@ -274,9 +280,9 @@ def delta(inst: Instance, tri: Triangulation,
     """
     if maps is None:
         maps = PocketMaps(inst, tri)
-    troot = maps.table.root_triangle()
+    troot = tuple(tri.triangles[tri.root])
     plus = []
-    for pocket in tri.root_pockets():
+    for pocket in _root_pockets(tri):
         p = maps.lam_plus(pocket.edge)
         if p is None:
             return None
@@ -481,12 +487,16 @@ def iter_sketches(inst: Instance, tri: Triangulation,
     yield from _iter_assignments(inst, tri, pinned, table.all, limit)
 
 
+def _pocket_contains(pocket: Pocket, t: int, idx: int) -> bool:
+    """Whether polygon index idx lies in the pocket's unwrapped range."""
+    return (idx - pocket.start) % t <= pocket.end - pocket.start
+
+
 def pocket_simplices(tri: Triangulation, pocket) -> list[Simplex]:
     """Simplices contained in the pocket's unwrapped cycle range."""
     table = SimplexTable(tri)
-    t = tri.t
-    i, span = pocket.start, pocket.end - pocket.start
-    return [s for s in table.all if all((x - i) % t <= span for x in s)]
+    return [s for s in table.all
+            if all(_pocket_contains(pocket, tri.t, x) for x in s)]
 
 
 def enumerate_local_sketches(inst: Instance, tri: Triangulation, pocket,
@@ -502,7 +512,7 @@ def enumerate_local_sketches(inst: Instance, tri: Triangulation, pocket,
         domain = domain + [outer]
     pinned = {}
     for p, v in enumerate(inst.cycle):
-        if pocket.contains_index(t, p):
+        if _pocket_contains(pocket, t, p):
             pinned[v] = (p,)
     yield from _iter_assignments(inst, tri, pinned, domain, limit)
 
@@ -519,7 +529,7 @@ def is_local_sketch(assign: dict[int, Simplex], inst: Instance,
     if any(assign[v] not in domain for v in assign):
         return False
     for p, v in enumerate(inst.cycle):
-        if pocket.contains_index(t, p) and assign[v] != (p,):
+        if _pocket_contains(pocket, t, p) and assign[v] != (p,):
             return False
     return all(table.shares_triangle(assign[u], assign[v])
                for u, v in inst.edges)

@@ -81,9 +81,6 @@ class SimplexTable:
             return False
         return union in self._members
 
-    def root_triangle(self) -> Simplex:
-        return tuple(self.tri.triangles[self.tri.root])
-
 
 def is_sketch(assign: dict[int, Simplex], inst: Instance, tri: Triangulation,
               table: Optional[SimplexTable] = None) -> bool:

@@ -45,9 +45,6 @@ class Pocket:
     def size(self) -> int:
         return self.end - self.start
 
-    def contains_index(self, t: int, idx: int) -> bool:
-        return (idx - self.start) % t <= self.end - self.start
-
 
 @dataclass
 class Triangulation:
@@ -71,11 +68,6 @@ class Triangulation:
     def postorder_pockets(self) -> list[Pocket]:
         """Pockets ordered children before parents (by range size)."""
         return sorted(self.pockets.values(), key=lambda p: (p.size, p.start))
-
-    def root_pockets(self) -> list[Pocket]:
-        a, b, c = self.triangles[self.root]
-        return [self.pockets[e] for e in
-                (_canon(a, b), _canon(b, c), _canon(a, c))]
 
 
 def _is_ear(pts: Sequence[Point2], active: list[int], k: int) -> bool:

@@ -3,9 +3,10 @@
 A pair violation yields a rectangular spiral whose core-to-mouth link
 distance exceeds the graph distance; a triple violation yields a pinwheel
 chamber with three spiral arms whose link balls have pairwise nonempty but
-triple-empty intersection.  Every construction is certified by the exact
-link-distance engine before being returned and raises WitnessError when the
-certificate fails, so callers need no second check.  ``verify_witness``
+triple-empty intersection.  Each polygon is built once, at fixed
+coordinates, and certified by the exact link-distance engine before being
+returned; a build or certificate failure raises WitnessError (an internal
+error, never a verdict), so callers need no second check.  ``verify_witness``
 recomputes the obstruction from the polygon and the violation alone; it is
 the independent check the tests use.
 """
@@ -196,33 +197,29 @@ def triple_spiral(violation: TripleViolation, t: int) -> Witness:
         pos.append(at + depths[x] - 1)
         at += 2 * depths[x]
     shift = (pos[0] - i) % t
-    polygon = None
-    for attempt in range(6):
-        eps = Fraction(1, 2 * 4 ** attempt)
-        ring: list[Point2] = []
-        for x in range(3):
-            d = depths[x]
-            if d == 1:
-                ring.append(tips[x])
-            else:
-                door = blockers[x - 1] - blockers[x]
-                u = door.scale(eps / (2 * (abs(door.x) + abs(door.y))))
-                ring.extend(_arm_graft(d, tips[x] + u, tips[x] - u))
-            ring.append(blockers[x])
-        if len(ring) != t:
-            raise WitnessError(f"arm budget mismatch: ring has {len(ring)} of {t}")
-        pts = [ring[(m + shift) % t] for m in range(t)]
-        try:
-            cand = SimplePolygon.from_points(pts)
-        except PolygonError:
-            continue
-        balls = [link_ball(cand, cand.points[p], d).ring
-                 for p, d in zip((i, j, k), depths)]
-        if triple_intersection_empty(*balls):
-            polygon = cand
-            break
-    if polygon is None:
-        raise WitnessError("triple link balls still meet")
+    ring: list[Point2] = []
+    for x in range(3):
+        d = depths[x]
+        if d == 1:
+            ring.append(tips[x])
+        else:
+            # the arm's door: a chord of length 1/2 in L1 along the blockers'
+            # direction, centred at the tip
+            door = blockers[x - 1] - blockers[x]
+            u = door.scale(Fraction(1, 4 * (abs(door.x) + abs(door.y))))
+            ring.extend(_arm_graft(d, tips[x] + u, tips[x] - u))
+        ring.append(blockers[x])
+    if len(ring) != t:
+        raise WitnessError(f"arm budget mismatch: ring has {len(ring)} of {t}")
+    try:
+        polygon = SimplePolygon.from_points(
+            [ring[(m + shift) % t] for m in range(t)])
+    except PolygonError as exc:
+        raise WitnessError(f"pinwheel ring is not simple: {exc}") from exc
+    balls = [link_ball(polygon, polygon.points[p], d).ring
+             for p, d in zip((i, j, k), depths)]
+    if not triple_intersection_empty(*balls):
+        raise WitnessError("triple link balls meet")
     note = WitnessNote(kind="triple", anchors={i: i, j: j, k: k},
                        certificate={"empty_triple_intersection": True})
     return Witness(polygon=polygon, note=note)

@@ -1,16 +1,20 @@
 import json
 import os
+import random
 
 import pytest
 
 from polyext.cli import (main, EXIT_POSITIVE, EXIT_NEGATIVE, EXIT_INVALID,
                          EXIT_INTERNAL)
 from polyext.jsonio import (dumps, instance_to_json, polygon_to_json,
-                            triangulation_to_json, load)
+                            plane_instance_to_json, triangulation_to_json,
+                            load)
 from polyext.geometry import SimplePolygon, pt
 from polyext.model import Instance
+from polyext.oracle import (random_instance, random_plane_instance,
+                            random_polygon)
 
-from conftest import fixture_path
+from conftest import fixture_path, suite_seed
 
 
 @pytest.fixture
@@ -179,9 +183,14 @@ def test_internal_error_is_not_a_verdict(workdir, monkeypatch, capsys):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "check_universality", broken)
-    assert main(["check", workdir["instance"]]) == EXIT_INTERNAL
-    out = json.loads(capsys.readouterr().out)
-    assert out == {"status": "internal-error", "error": "RuntimeError: boom"}
+    out_path = str(workdir["tmp"] / "witness.json")
+    for argv in (["check", workdir["instance"]],
+                 ["witness", workdir["instance"], "-o", out_path]):
+        assert main(argv) == EXIT_INTERNAL
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"status": "internal-error",
+                       "error": "RuntimeError: boom"}
+    assert not os.path.exists(out_path)
 
 
 def test_draw_and_verify(workdir, capsys):
@@ -257,16 +266,36 @@ def test_witness_roundtrip(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["pair", "triple"])
 def test_witness_certificate_failure_is_internal(tmp_path, monkeypatch,
-                                                 capsys):
+                                                 capsys, kind):
+    # each spiral is built once: a failed certificate is an internal error,
+    # never a retry and never a verdict
     import polyext.witness as witness
-    monkeypatch.setattr(witness, "link_distance", lambda *args: 1)
-    rc = main(["witness", _chord_instance(tmp_path),
-               "-o", str(tmp_path / "witness.json")])
+    balls = []
+    link_ball = witness.link_ball
+
+    def counting_link_ball(*args):
+        balls.append(args)
+        return link_ball(*args)
+
+    monkeypatch.setattr(witness, "link_ball", counting_link_ball)
+    if kind == "pair":
+        monkeypatch.setattr(witness, "link_distance", lambda *args: 1)
+        instance = _chord_instance(tmp_path)
+        error, n_balls = "WitnessError: spiral failed verification", 0
+    else:
+        monkeypatch.setattr(witness, "triple_intersection_empty",
+                            lambda *balls: False)
+        instance = _hub_c6_instance(tmp_path)
+        error, n_balls = "WitnessError: triple link balls meet", 3
+    rc = main(["witness", instance, "-o", str(tmp_path / "witness.json")])
     assert rc == EXIT_INTERNAL
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "internal-error"
-    assert out["error"].startswith("WitnessError: spiral failed verification")
+    assert out["error"].startswith(error)
+    assert len(balls) == n_balls
+    assert not os.path.exists(tmp_path / "witness.json")
 
 
 def test_witness_on_universal_instance(workdir, capsys):
@@ -408,6 +437,34 @@ def _hub_c6_instance(tmp_path):
     return p
 
 
+def test_witness_kind_pair_on_a_triple_violation(tmp_path, capsys):
+    # check reports the triple violation (1, 3, 5): witness must not call
+    # the instance universal because its pair condition holds
+    out_path = str(tmp_path / "witness.json")
+    rc = main(["witness", _hub_c6_instance(tmp_path), "-o", out_path,
+               "--kind", "pair"])
+    assert rc == EXIT_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "invalid-input"
+    assert "triple condition" in out["error"]
+    assert not os.path.exists(out_path)
+
+
+def test_triple_violator_draws_in_a_convex_hexagon(tmp_path, capsys):
+    # universality quantifies over every polygon: a not-universal instance
+    # may still be drawable in a given one
+    hexagon = SimplePolygon.from_points(
+        [pt(2, 0), pt(1, 2), pt(-1, 2), pt(-2, 0), pt(-1, -2), pt(1, -2)])
+    poly_path = str(tmp_path / "hexagon.json")
+    with open(poly_path, "w") as fh:
+        fh.write(dumps(polygon_to_json(hexagon)))
+    inst_path = _hub_c6_instance(tmp_path)
+    assert main(["check", inst_path]) == EXIT_NEGATIVE
+    assert main(["draw", inst_path, poly_path,
+                 "-o", str(tmp_path / "drawing.json")]) == EXIT_POSITIVE
+    capsys.readouterr()
+
+
 def test_witness_kind_pair(tmp_path, capsys):
     out_path = str(tmp_path / "witness.json")
     rc = main(["witness", _chord_instance(tmp_path), "-o", out_path,
@@ -465,3 +522,95 @@ def test_verify_planar_rejects_crossing_drawing(workdir, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == {"status": "invalid-drawing",
                    "failures": ["drawing is not planar"]}
+
+
+def _random_hub_instance(rng, t):
+    """Cycle of even length t plus a hub joined by fresh paths to three
+    anchors: with path lengths equal to the depths of a tight triple the
+    hub violates the triple condition; one path a step longer misses it."""
+    d1 = rng.randint(1, t // 2 - 2)
+    d2 = rng.randint(1, t // 2 - 1 - d1)
+    depths = [d1, d2, t // 2 - d1 - d2]
+    start = rng.randrange(t)
+    arcs = [d1 + d2, d2 + depths[2]]
+    anchors = [start, (start + arcs[0]) % t, (start + sum(arcs)) % t]
+    lengths = list(depths)
+    if rng.random() < 0.5:
+        lengths[rng.randrange(3)] += 1
+    edges = [(p, (p + 1) % t) for p in range(t)]
+    hub, n = t, t + 1
+    for anchor, length in zip(anchors, lengths):
+        prev = hub
+        for _ in range(length - 1):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, anchor))
+    return Instance(n=n, edges=edges, cycle=list(range(t)))
+
+
+def test_subcommands_agree_with_check(tmp_path, capsys):
+    # one verdict per instance: check decides, draw and witness follow it
+    def run(*argv):
+        rc = main(list(argv))
+        return rc, capsys.readouterr().out
+
+    def write(name, doc):
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            fh.write(dumps(doc))
+        return path
+
+    rng = random.Random(suite_seed())
+    cases = []
+    for _ in range(30):
+        t = rng.randint(3, 8)
+        cases.append((random_instance(rng, t=t, extra=rng.randint(0, 4),
+                                      extra_edges=rng.randint(0, 2)), None))
+    for _ in range(20):
+        cases.append((_random_hub_instance(rng, rng.choice((6, 8))), None))
+    for _ in range(60):
+        t = rng.randint(3, 8)
+        plane = random_plane_instance(rng, t=t, extra=rng.randint(0, 6))
+        cases.append((plane.instance, plane))
+    seen = set()
+    drawing, spiral = str(tmp_path / "drawing.json"), str(tmp_path / "w.json")
+    for inst, plane in cases:
+        inst_path = write("instance.json", instance_to_json(inst))
+        poly_path = write("polygon.json",
+                          polygon_to_json(random_polygon(rng, inst.t)))
+        rc, out = run("check", inst_path)
+        verdict = json.loads(out)
+        witness = run("witness", inst_path, "-o", spiral)
+        if rc == EXIT_POSITIVE:
+            seen.add("universal")
+            assert run("draw", inst_path, poly_path, "-o", drawing)[0] \
+                == EXIT_POSITIVE
+            assert run("verify", drawing, inst_path, poly_path)[0] \
+                == EXIT_POSITIVE
+            assert witness == (EXIT_NEGATIVE, dumps(
+                {"status": "universal", "note": "no witness exists"}))
+            for kind in ("pair", "triple"):
+                assert run("witness", inst_path, "-o", spiral,
+                           "--kind", kind) == witness
+        else:
+            assert rc == EXIT_NEGATIVE
+            kind = verdict["violation"]["kind"]
+            other = {"pair": "triple", "triple": "pair"}[kind]
+            seen.add(kind)
+            assert witness[0] == EXIT_POSITIVE
+            assert json.loads(witness[1])["violation"] == verdict["violation"]
+            assert run("witness", inst_path, "-o", spiral,
+                       "--kind", kind) == witness
+            assert run("witness", inst_path, "-o", spiral,
+                       "--kind", other)[0] == EXIT_INVALID
+        if plane is not None and rc == EXIT_POSITIVE:
+            plane_path = write("plane.json", plane_instance_to_json(plane))
+            rc, out = run("draw", plane_path, poly_path, "--planar",
+                          "-o", drawing)
+            assert rc != EXIT_NEGATIVE
+            if rc != EXIT_POSITIVE:
+                # the known split defect, ROADMAP item 3: an internal
+                # error, never a verdict
+                assert rc == EXIT_INTERNAL
+                assert "could not split" in json.loads(out)["error"]
+    assert seen == {"universal", "pair", "triple"}

@@ -1,6 +1,7 @@
 import pytest
 
 from polyext.geometry import SimplePolygon, pt
+from polyext.oracle import _root_pockets
 from polyext.triangulation import (ear_clip, root_dual, validate_triangulation,
                                    TriangulationError, ear_triangles)
 
@@ -63,7 +64,7 @@ def test_pocket_structure(unit_square):
             assert pocket.apex is not None
             assert pocket.children is not None
     # root pockets cover all three root triangle edges
-    lids = {p.edge for p in tri.root_pockets()}
+    lids = {p.edge for p in _root_pockets(tri)}
     assert len(lids) == 3
 
 
