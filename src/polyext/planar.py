@@ -7,15 +7,16 @@ non-cycle edges down to a minimal instance whose drawing is forced; replaying
 the simplification journal backwards with epsilon-perturbations produces a
 planar drawing inside the polygon.
 
-Augmentation sketch-tests each chord before it adds it, so nothing is rolled
-back.  The journal is replayed once, at default_epsilon.  A contraction is
-undone by trying split points on one ladder (shrinking distance, then wedge
-weight, then wedge) until one passes; no other step retries, and a split
-that fits nowhere on the ladder raises PlanarError (exit 3 in the CLI, never
-a verdict).  Each replay step is checked locally: planarity of what it
-moved, plus one point-in-polygon test per re-placed vertex (segment
-containment follows from planarity, see _locally_valid).  Only the finished
-drawing takes the full planarity and polygon-respect checks.
+Augmentation and contraction sketch-test an edge set before the surgery, so
+nothing is rolled back.  The journal holds only what replay reads: strips
+and contractions.  It is replayed once, at default_epsilon.  A contraction
+is undone by trying split points on one ladder (shrinking distance, then
+wedge weight, then wedge) until one lies in the kernel of the split vertex's
+link (_in_link_kernel: one orientation test per neighbour); a split that
+fits nowhere on the ladder raises PlanarError (exit 3 in the CLI, never a
+verdict).  A re-inserted strip interior must lie strictly inside its drawn
+triangle.  Only the finished drawing takes the full planarity and
+polygon-respect checks.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .geometry import (OUTSIDE, Point2, SimplePolygon, ccw_strictly_between,
-                       orient, point_in_ring, point_on_segment,
+from .geometry import (INTERIOR, Point2, SimplePolygon, ccw_strictly_between,
+                       orient, point_in_triangle, point_on_segment,
                        primitive_direction, segments_properly_cross)
 from .model import (Instance, PlaneInstance, trace_faces, _cyclic_equal,
                     components, mirror_rotation, orient_plane_instance,
@@ -47,17 +48,6 @@ class NotSketchableError(PlanarError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AddedVertex:
-    v: int
-
-
-@dataclass
-class AddedEdge:
-    u: int
-    v: int
-
-
-@dataclass
 class StrippedTriangle:
     sub_vertices: list[int]          # global ids; first three are the triangle
     sub_plane: PlaneInstance         # relabelled to 0..m-1, cycle = triangle
@@ -72,7 +62,7 @@ class ContractedEdge:
     snapshot: PlaneInstance          # state before the contraction
 
 
-JournalStep = Union[AddedVertex, AddedEdge, StrippedTriangle, ContractedEdge]
+JournalStep = Union[StrippedTriangle, ContractedEdge]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +187,6 @@ class PlaneSurgeon:
 # Sketchability helpers.
 # ---------------------------------------------------------------------------
 
-def _sketchable(plane: PlaneInstance, tri: Triangulation) -> bool:
-    return sketch_linear(plane.instance, tri) is not None
-
-
 def _assert_valid(plane: PlaneInstance):
     problems = validate_plane_instance(plane)
     if problems:
@@ -212,24 +198,23 @@ def _assert_valid(plane: PlaneInstance):
 # ---------------------------------------------------------------------------
 
 def augment_triangulated(plane: PlaneInstance, tri: Triangulation
-                         ) -> tuple[PlaneInstance, list[JournalStep]]:
+                         ) -> PlaneInstance:
     """Connect stray components and triangulate all interior faces.
 
     Non-triangular faces get a doubled inner cycle whose chords are chosen to
     keep the coarsest sketch defined.
     """
-    journal: list[JournalStep] = []
     s = PlaneSurgeon(plane)
-    _connect_components(s, journal)
-    _double_cycle_faces(s, tri, journal)
+    _connect_components(s)
+    _double_cycle_faces(s, tri)
     out = s.plane
     _assert_valid(out)
     if any(len(f) != 3 for f in s.interior_faces()):
         raise PlanarError("augmentation left a non-triangular face")
-    return out, journal
+    return out
 
 
-def _connect_components(s: PlaneSurgeon, journal: list[JournalStep]):
+def _connect_components(s: PlaneSurgeon):
     while True:
         comps = components(Instance(n=s.n, edges=sorted(s.edges),
                                     cycle=list(s.cycle)))
@@ -250,11 +235,9 @@ def _connect_components(s: PlaneSurgeon, journal: list[JournalStep]):
             s.rot[w].append(anchor)
         else:
             s.rot[w] = [anchor]
-        journal.append(AddedEdge(anchor, w))
 
 
-def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation,
-                        journal: list[JournalStep]):
+def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation):
     while True:
         faces = [f for f in s.interior_faces() if len(f) > 3]
         if not faces:
@@ -265,9 +248,7 @@ def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation,
         copies = list(range(s.n, s.n + k))
         s.n += k
         for idx, v in enumerate(walk):
-            u = copies[idx]
-            journal.append(AddedVertex(u))
-            s.edges.add(tuple(sorted((v, u))))
+            s.edges.add(tuple(sorted((v, copies[idx]))))
         for idx in range(k):
             a, b = copies[idx], copies[(idx + 1) % k]
             s.edges.add(tuple(sorted((a, b))))
@@ -278,16 +259,13 @@ def _double_cycle_faces(s: PlaneSurgeon, tri: Triangulation,
             s.rot[u] = [walk[idx], copies[(idx + 1) % k], copies[idx - 1]]
             s._insert_in_corner(v, walk[idx - 1], u)
         for idx in range(k):
-            journal.append(AddedEdge(walk[idx], copies[idx]))
-            journal.append(AddedEdge(copies[idx], copies[(idx + 1) % k]))
-        for idx in range(k):
             _split_quad(s, walk[idx], walk[(idx + 1) % k],
-                        copies[(idx + 1) % k], copies[idx], tri, journal)
-        _chord_inner_cycle(s, copies, tri, journal)
+                        copies[(idx + 1) % k], copies[idx], tri)
+        _chord_inner_cycle(s, copies, tri)
 
 
 def _add_if_sketchable(s: PlaneSurgeon, face: list[int], u: int, v: int,
-                       tri: Triangulation, journal: list[JournalStep]) -> bool:
+                       tri: Triangulation) -> bool:
     """Add the chord uv across `face` unless it is already an edge or the
     instance has no sketch with it.
 
@@ -300,23 +278,21 @@ def _add_if_sketchable(s: PlaneSurgeon, face: list[int], u: int, v: int,
             tri) is None:
         return False
     s.add_edge_in_face(face, face.index(u), face.index(v))
-    journal.append(AddedEdge(u, v))
     return True
 
 
 def _split_quad(s: PlaneSurgeon, va: int, vb: int, ub: int, ua: int,
-                tri: Triangulation, journal: list[JournalStep]):
+                tri: Triangulation):
     """Triangulate the quad face (va, vb, ub, ua) left between a face walk
     edge and the doubled cycle, keeping the coarsest sketch defined."""
     quad = _face_of_cycle(s, [va, vb, ub, ua])
     for p, q in ((ua, vb), (va, ub)):
-        if _add_if_sketchable(s, quad, p, q, tri, journal):
+        if _add_if_sketchable(s, quad, p, q, tri):
             return
     raise PlanarError("no sketch-preserving diagonal for a doubled-cycle quad")
 
 
-def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation,
-                       journal: list[JournalStep]):
+def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation):
     """Triangulate the inner face bounded by the doubled cycle, preferring
     chords whose endpoints' coarsest-sketch simplices share a triangle."""
     table = SimplexTable(tri)
@@ -337,7 +313,7 @@ def _chord_inner_cycle(s: PlaneSurgeon, ring: list[int], tri: Triangulation,
                 assign[cyc[ab[0]]], assign[cyc[ab[1]]]))
         face = _face_of_cycle(s, cyc)
         for a, b in pairs:
-            if _add_if_sketchable(s, face, cyc[a], cyc[b], tri, journal):
+            if _add_if_sketchable(s, face, cyc[a], cyc[b], tri):
                 rec(cyc[a:b + 1])
                 rec(cyc[b:] + cyc[:a + 1])
                 return
@@ -438,19 +414,23 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
                                ) -> Optional[tuple[PlaneInstance,
                                                    list[JournalStep]]]:
     """Contract the first (deterministic order) non-cycle edge that keeps the
-    instance sketchable; strips any separating triangles this creates."""
+    instance sketchable; strips any separating triangles this creates.
+
+    A sketch depends only on the edge set, so each candidate is sketch-tested
+    on the contracted edges before any surgery, as in _add_if_sketchable.
+    """
     inst = plane.instance
     on_c = set(inst.cycle)
     for u, v in sorted(tuple(sorted(e)) for e in inst.edges):
         if u in on_c and v in on_c:
             continue  # merging two cycle vertices would destroy C
         keep, drop = (v, u) if v in on_c else (u, v)
+        if sketch_linear(_contracted(inst, keep, drop), tri) is None:
+            continue
         s = PlaneSurgeon(plane)
         common = s.contract(keep, drop)
         cand = s.plane
         _assert_valid(cand)
-        if not _sketchable(cand, tri):
-            continue
         journal: list[JournalStep] = [ContractedEdge(v=drop, z=keep,
                                                      common=common,
                                                      snapshot=plane)]
@@ -460,16 +440,27 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
     return None
 
 
+def _contracted(inst: Instance, keep: int, drop: int) -> Instance:
+    """The instance PlaneSurgeon.contract(keep, drop) leaves: drop becomes
+    keep, ids above drop shift down by one, the self-loop goes."""
+    def lab(w: int) -> int:
+        w = keep if w == drop else w
+        return w - 1 if w > drop else w
+
+    edges = {tuple(sorted((lab(a), lab(b)))) for a, b in inst.edges}
+    return Instance(n=inst.n - 1, edges=sorted(e for e in edges if e[0] != e[1]),
+                    cycle=[lab(c) for c in inst.cycle])
+
+
 def minimize(plane: PlaneInstance, tri: Triangulation
              ) -> tuple[PlaneInstance, list[JournalStep]]:
     _assert_valid(plane)
-    if not _sketchable(plane, tri):
+    if sketch_linear(plane.instance, tri) is None:
         raise NotSketchableError("instance has no sketch for this triangulation")
-    plane, journal = augment_triangulated(plane, tri)
-    if not _sketchable(plane, tri):
+    plane = augment_triangulated(plane, tri)
+    if sketch_linear(plane.instance, tri) is None:
         raise PlanarError("augmentation broke sketchability")
-    plane, strips = strip_separating_interiors(plane)
-    journal.extend(strips)
+    plane, journal = strip_separating_interiors(plane)
     while True:
         step = contract_sketch_preserving(plane, tri)
         if step is None:
@@ -493,24 +484,21 @@ def minimize(plane: PlaneInstance, tri: Triangulation
 # ---------------------------------------------------------------------------
 
 def validate_planar(drawing: Drawing, inst: Instance) -> bool:
+    """Whether the positions are distinct, no two edges properly cross and
+    no edge runs through a vertex other than its ends."""
     pos = drawing.positions
     if len({(p.x, p.y) for p in pos.values()}) != len(pos):
         return False
     edges = [tuple(sorted(e)) for e in inst.edges]
-    return not any(_edge_blocked(pos, a, b, edges[i + 1:], inst.n)
-                   for i, (a, b) in enumerate(edges))
-
-
-def _edge_blocked(pos: dict[int, Point2], a: int, b: int,
-                  edges: list[tuple[int, int]], n: int) -> bool:
-    """Whether edge ab properly crosses one of `edges` or runs through one
-    of the vertices 0..n-1 other than its ends."""
-    pa, pb = pos[a], pos[b]
-    for c, d in edges:
-        if segments_properly_cross(pa, pb, pos[c], pos[d]):
-            return True
-    return any(v not in (a, b) and point_on_segment(pos[v], pa, pb)
-               for v in range(n))
+    for i, (a, b) in enumerate(edges):
+        pa, pb = pos[a], pos[b]
+        if any(segments_properly_cross(pa, pb, pos[c], pos[d])
+               for c, d in edges[i + 1:]):
+            return False
+        if any(v not in (a, b) and point_on_segment(pos[v], pa, pb)
+               for v in range(inst.n)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -570,30 +558,26 @@ def accommodate(plane: PlaneInstance, polygon: SimplePolygon,
         tri = root_dual(ear_clip(polygon))
     epsilon = default_epsilon(polygon, tri)
     minimal, journal = minimize(plane, tri)
-    return _replay(minimal, journal, polygon, tri, epsilon, plane.instance)
+    return _replay(minimal, journal, polygon, epsilon, plane.instance)
 
 
 def _replay(minimal: PlaneInstance, journal: list[JournalStep],
-            polygon: SimplePolygon, tri: Triangulation, eps: Fraction,
-            original: Instance) -> Drawing:
+            polygon: SimplePolygon, eps: Fraction, original: Instance
+            ) -> Drawing:
     inst = minimal.instance
     pos: dict[int, Point2] = {v: polygon.points[p]
                               for p, v in enumerate(inst.cycle)}
     cur = minimal
-    # the minimal drawing is the validated triangulation, so every local
-    # check (_locally_valid) starts from a valid drawing
+    # the minimal drawing is the validated triangulation, so every step
+    # starts from a valid drawing (see _in_link_kernel)
     for step in reversed(journal):
         if isinstance(step, ContractedEdge):
-            pos = _undo_contraction(step, cur, pos, polygon, eps)
-            cur = step.snapshot
-        elif isinstance(step, StrippedTriangle):
-            pos = _undo_strip(step, cur, pos, polygon, eps)
-            cur = step.snapshot
-            if not _locally_valid(pos, cur.instance, polygon,
-                                  step.sub_vertices[3:]):
-                raise PlanarError("re-inserted interior breaks the drawing")
-    # augmentation steps move nothing: their vertices have ids past the
-    # original range and are dropped here
+            pos = _undo_contraction(step, cur, pos, eps)
+        else:
+            pos = _undo_strip(step, cur, pos)
+        cur = step.snapshot
+    # augmentation vertices have ids past the original range and are
+    # dropped here
     final_pos = {v: pos[v] for v in range(original.n)}
     drawing = Drawing(positions=final_pos, meta={"epsilon": eps})
     if not validate_planar(drawing, original):
@@ -603,42 +587,32 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
     return drawing
 
 
-def _locally_valid(pos: dict[int, Point2], inst: Instance,
-                   polygon: SimplePolygon, fresh: list[int]) -> bool:
-    """Whether placing the `fresh` vertices keeps a drawing planar and
-    polygon-respecting, given that it was both without them.
+def _in_link_kernel(pos: dict[int, Point2], v: int, link: list[int]) -> bool:
+    """Whether v lies strictly left of every edge of its ccw link cycle.
 
-    Every other vertex keeps its position and every edge not at a fresh
-    vertex was an edge of that drawing, so only the pairs involving a fresh
-    vertex or a fresh edge can fail.  Containment takes no segment test.
-    Fresh vertices are never cycle vertices, and the pinned cycle draws the
-    polygon's boundary, so a fresh vertex that is not outside the polygon
-    and on no edge lies strictly inside it; an edge from there can leave
-    the polygon only by crossing a cycle edge or running through a cycle
-    vertex, and the planarity tests refuse both.  On top of a valid drawing
-    this is exactly validate_planar and validate_respecting.
+    Replay keeps an invariant: each drawing is planar, pins the cycle and
+    draws every interior face as a ccw triangle.  The minimal drawing, the
+    validated triangulation, has it.  A contraction ran only after every
+    separating triangle was stripped, so v's link in the instance before it
+    is a simple cycle bounding an empty face of that instance minus v, and
+    every other vertex and edge keeps its place.  A point strictly left of
+    every link edge lies in that face and sees each link vertex inside it,
+    so v's edges cross nothing and the invariant holds again.  A point not
+    strictly left of some link edge puts an edge v->w onto or across a link
+    edge or vertex, which validate_planar refuses too.  On top of a valid
+    drawing this is therefore exactly validate_planar and
+    validate_respecting, at deg(v) orientation tests.  A strip step keeps
+    the invariant because the nested accommodate checks the sub-drawing in
+    full against the drawn triangle, which is an empty face.
     """
-    fresh = set(fresh)
-    placed = {pos[v] for v in fresh}
-    if len(placed) != len(fresh) or any(
-            p in placed for w, p in pos.items() if w not in fresh):
-        return False
-    if any(pos[c] != p for c, p in zip(inst.cycle, polygon.points)):
-        return False
-    if any(point_in_ring(pos[v], polygon.points) == OUTSIDE for v in fresh):
-        return False
-    new_edges = [e for e in inst.edges if e[0] in fresh or e[1] in fresh]
-    if any(_edge_blocked(pos, a, b, inst.edges, inst.n)
-           for a, b in new_edges):
-        return False
-    return not any(point_on_segment(pos[v], pos[a], pos[b])
-                   for a, b in inst.edges if a not in fresh and b not in fresh
-                   for v in fresh)
+    p = pos[v]
+    return all(orient(pos[a], pos[b], p) > 0
+               for a, b in zip(link, link[1:] + link[:1]))
 
 
 def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
-                      pos: dict[int, Point2], polygon: SimplePolygon,
-                      eps: Fraction) -> dict[int, Point2]:
+                      pos: dict[int, Point2], eps: Fraction
+                      ) -> dict[int, Point2]:
     """Re-split z into (z, v): v goes an epsilon into the wedge between the
     two shared neighbours, on the side holding v's other former edges."""
     before = step.snapshot
@@ -664,23 +638,20 @@ def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
         dist = base / (4 ** shrink)
         for weight in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3)):
             for d1, d2 in wedges:
-                try:
-                    direction = _wedge_direction(d1, d2, weight)
-                except PlanarError:
-                    continue
+                direction = _wedge_direction(d1, d2, weight)
                 ln = abs(direction.x) + abs(direction.y)
                 cand = dict(new_pos)
                 cand[v] = zp + direction.scale(dist / ln)
-                if _locally_valid(cand, before.instance, polygon, [v]):
+                if _in_link_kernel(cand, v, rot_v):
                     return cand
     raise PlanarError(f"could not split vertex {v} off {z}")
 
 
 def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,
-                pos: dict[int, Point2], polygon: SimplePolygon,
-                eps: Fraction) -> dict[int, Point2]:
+                pos: dict[int, Point2]) -> dict[int, Point2]:
     """Re-insert the stripped interior by recursively accommodating it inside
-    the drawn triangle."""
+    the drawn triangle; every re-inserted vertex must land strictly inside
+    it."""
     before = step.snapshot
     # cur's ids are before's ids with the interior removed, order preserved
     removed = sorted(step.sub_vertices[3:])
@@ -709,5 +680,7 @@ def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,
         g = step.sub_vertices[s_idx]
         if g in (a, b, c):
             continue
+        if point_in_triangle(p, pa, pb, pc) != INTERIOR:
+            raise PlanarError("re-inserted interior leaves its triangle")
         new_pos[g] = p
     return new_pos

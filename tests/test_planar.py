@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polyext.planar as planar
-from polyext.geometry import SimplePolygon, pt, point_in_ring, OUTSIDE
+from polyext.geometry import Point2, SimplePolygon, pt, point_in_ring, OUTSIDE
 from polyext.model import Instance, PlaneInstance, validate_plane_instance
 from polyext.conditions import check_universality
 from polyext.jsonio import (dumps, drawing_to_json, load,
@@ -34,7 +34,7 @@ def square_pair_plane():
 
 def assert_golden(drawing, name):
     # drawings recorded from whole-drawing checks of every replay step; the
-    # local checks must accept exactly the candidates those accepted
+    # link-kernel test must accept exactly the candidates those accepted
     with open(fixture_path(f"planar_golden_{name}.json")) as fh:
         assert dumps(drawing_to_json(drawing)) == fh.read()
 
@@ -138,20 +138,40 @@ def test_sketch_failure_is_not_a_verdict(monkeypatch):
 
 
 def test_local_check_matches_full_check(monkeypatch):
-    # each local check runs on top of a valid drawing (the minimal one, or
-    # one accepted before), so its verdict must equal the full verdict
-    seen = []
-    local = planar._locally_valid
+    # each split candidate is tested on top of a valid drawing (the minimal
+    # one, or one accepted before), so the link-kernel verdict must equal
+    # the full verdict on the instance before the contraction.  Strip steps
+    # replay nested accommodate calls into their own triangle, so the
+    # polygon and instance are tracked per frame.
+    seen, polygons, instances = [], [], []
+    kernel, replay, undo = (planar._in_link_kernel, planar._replay,
+                            planar._undo_contraction)
 
-    def spy(pos, inst, polygon, fresh):
-        verdict = local(pos, inst, polygon, fresh)
+    def spy_replay(minimal, journal, polygon, *args):
+        polygons.append(polygon)
+        try:
+            return replay(minimal, journal, polygon, *args)
+        finally:
+            polygons.pop()
+
+    def spy_undo(step, *args):
+        instances.append(step.snapshot.instance)
+        try:
+            return undo(step, *args)
+        finally:
+            instances.pop()
+
+    def spy_kernel(pos, v, link):
+        verdict = kernel(pos, v, link)
         d = Drawing(positions=dict(pos))
-        full = (validate_planar(d, inst)
-                and validate_respecting(d, inst, polygon).ok)
+        full = (validate_planar(d, instances[-1])
+                and validate_respecting(d, instances[-1], polygons[-1]).ok)
         seen.append((verdict, full))
         return verdict
 
-    monkeypatch.setattr(planar, "_locally_valid", spy)
+    monkeypatch.setattr(planar, "_replay", spy_replay)
+    monkeypatch.setattr(planar, "_undo_contraction", spy_undo)
+    monkeypatch.setattr(planar, "_in_link_kernel", spy_kernel)
     rng = random.Random(suite_seed())
     done = 0
     for _ in range(400):
@@ -170,40 +190,74 @@ def test_local_check_matches_full_check(monkeypatch):
     assert all(verdict == full for verdict, full in seen)
 
 
+def test_split_candidates_take_no_segment_tests(monkeypatch):
+    # a split candidate costs deg(v) orientation tests; crossing and
+    # on-segment tests run only in the final validate_planar
+    splitting, calls = [], []
+    undo = planar._undo_contraction
+
+    def spy_undo(*args):
+        splitting.append(True)
+        try:
+            return undo(*args)
+        finally:
+            splitting.pop()
+
+    def recording(name):
+        test = getattr(planar, name)
+
+        def record(*args):
+            if splitting:
+                calls.append(name)
+            return test(*args)
+        return record
+
+    monkeypatch.setattr(planar, "_undo_contraction", spy_undo)
+    for name in ("segments_properly_cross", "point_on_segment"):
+        monkeypatch.setattr(planar, name, recording(name))
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    for plane in (square_pair_plane(), square_cycle_plane()):
+        accommodate(plane, sq)
+    assert calls == []
+
+
 NOTCHED = SimplePolygon([pt(0, 0), pt(6, 0), pt(6, 4), pt(3, 1), pt(0, 4)])
-NOTCH_CYCLE = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+# the notched pentagon cut by the diagonals (0, 3) and (1, 3); vertex 5 is
+# split into the face (0, 1, 3), so its ccw link is [0, 1, 3]
+NOTCH_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 3), (1, 3),
+               (0, 5), (1, 5), (3, 5)]
 HALF = Fraction(1, 2)
 
 
-@pytest.mark.parametrize("placed, edges, fresh, ok", [
-    # a fresh vertex under the notch joined to two corners
-    ({5: (3, HALF)}, [(0, 5), (1, 5)], [5], True),
-    ({5: (3, 0)}, [(3, 5)], [5], False),
-    ({5: (3, HALF)}, [(0, 3), (4, 5)], [5], False),
-    # the fresh vertex sits in the notch; its edge to the notch corner
-    # leaves the polygon without touching any other edge or vertex
-    ({5: (3, 3)}, [(3, 5)], [5], False),
-    # an isolated old vertex, so only the coincidence is wrong
-    ({5: (3, HALF), 6: (3, HALF)}, [], [6], False),
-    ({5: (Fraction(9, 2), Fraction(3, 2))}, [(0, 5)], [5], False),
-    ({4: (0, 3)}, [], [4], False),
+@pytest.mark.parametrize("placed, ok", [
+    ((3, HALF), True),
+    ((3, 0), False),
+    # in the face (1, 2, 3): the edge 5-0 crosses the diagonal (1, 3)
+    ((5, 1), False),
+    # in the notch, outside the polygon
+    ((3, 3), False),
+    ((3, 1), False),
+    # the edge 5-0 runs through vertex 3
+    ((Fraction(9, 2), Fraction(3, 2)), False),
 ], ids=["control", "vertex-on-old-edge", "edge-crosses-old-edge",
         "edge-leaves-polygon", "coincides-with-old-vertex",
-        "edge-through-old-vertex", "cycle-vertex-off-pin"])
-def test_local_check_rejects_planted_faults(placed, edges, fresh, ok):
+        "edge-through-old-vertex"])
+def test_local_check_rejects_planted_faults(placed, ok):
+    # replay never moves a pinned cycle vertex; a drawing with one off its
+    # pin is refused by the final check (test_sketch.py's
+    # test_validate_respecting_failures)
     pos = dict(enumerate(NOTCHED.points))
-    pos.update({v: pt(*xy) for v, xy in placed.items()})
-    inst = Instance(n=len(pos), edges=NOTCH_CYCLE + edges,
-                    cycle=[0, 1, 2, 3, 4])
-    assert planar._locally_valid(pos, inst, NOTCHED, fresh) is ok
+    pos[5] = pt(*placed)
+    inst = Instance(n=6, edges=NOTCH_EDGES, cycle=[0, 1, 2, 3, 4])
+    assert planar._in_link_kernel(pos, 5, [0, 1, 3]) is ok
     d = Drawing(positions=pos)
     assert (validate_planar(d, inst)
             and validate_respecting(d, inst, NOTCHED).ok) is ok
 
 
 def test_replay_checks_in_full_once(monkeypatch):
-    # only the final check of each replay is a full one; every journal step
-    # is checked locally.  Strip steps replay nested accommodate calls, so
+    # only the final check of each replay is a full one; no journal step
+    # takes one.  Strip steps replay nested accommodate calls, so
     # each _replay call counts on its own frame.
     frames, replays = [], []
     replay = planar._replay
@@ -233,21 +287,21 @@ def test_replay_checks_in_full_once(monkeypatch):
 
 
 def test_final_check_guards_the_output(monkeypatch):
-    # with the local check accepting anything, a split that lands on its own
-    # vertex must still be refused by the final check
+    # with the link-kernel test accepting anything, a split that lands on
+    # its own vertex must still be refused by the final check
     undo = planar._undo_contraction
     plane = square_pair_plane()
     misplaced = []
 
-    def misplace(step, cur, pos, polygon, eps):
-        new_pos = undo(step, cur, pos, polygon, eps)
+    def misplace(step, cur, pos, eps):
+        new_pos = undo(step, cur, pos, eps)
         if step.snapshot.instance.n == plane.instance.n:
             # the last contraction replayed (the first one made)
             new_pos[step.v] = new_pos[step.z]
             misplaced.append(step)
         return new_pos
 
-    monkeypatch.setattr(planar, "_locally_valid", lambda *args: True)
+    monkeypatch.setattr(planar, "_in_link_kernel", lambda *args: True)
     monkeypatch.setattr(planar, "_undo_contraction", misplace)
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     with pytest.raises(PlanarError, match="final drawing not planar"):
@@ -271,12 +325,31 @@ def test_refused_chord_leaves_the_surgeon_untouched():
     s = planar.PlaneSurgeon(square_cycle_plane())
     face = s.interior_faces()[0]
     edges, rot = set(s.edges), {v: list(ns) for v, ns in s.rot.items()}
-    journal = []
-    assert not planar._add_if_sketchable(s, face, 0, 2, tri, journal)
-    assert (s.edges, s.rot, journal) == (edges, rot, [])
-    assert planar._add_if_sketchable(s, face, 1, 3, tri, journal)
+    assert not planar._add_if_sketchable(s, face, 0, 2, tri)
+    assert (s.edges, s.rot) == (edges, rot)
+    assert planar._add_if_sketchable(s, face, 1, 3, tri)
     assert s.edges == edges | {(1, 3)}
-    assert journal == [planar.AddedEdge(1, 3)]
+
+
+def test_strip_interior_off_its_triangle_raises(monkeypatch):
+    # the bare square strips a separating triangle; a re-inserted interior
+    # vertex moved onto its triangle's side must be refused at once
+    nested = accommodate
+
+    def onto_side(sub, tri_poly):
+        d = nested(sub, tri_poly)
+        a, b = tri_poly.points[:2]
+        d.positions[3] = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+        return d
+
+    monkeypatch.setattr(planar, "accommodate", onto_side)
+    sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    assert any(isinstance(step, StrippedTriangle)
+               for step in minimize(square_cycle_plane(),
+                                    root_dual(ear_clip(sq)))[1])
+    with pytest.raises(PlanarError,
+                       match="re-inserted interior leaves its triangle"):
+        nested(square_cycle_plane(), sq)
 
 
 def test_surgery_failure_is_not_a_refused_chord(monkeypatch):
@@ -303,7 +376,7 @@ def test_replay_runs_once(monkeypatch):
         return replay(*args)
 
     monkeypatch.setattr(planar, "_replay", count_replay)
-    monkeypatch.setattr(planar, "_locally_valid", lambda *args: False)
+    monkeypatch.setattr(planar, "_in_link_kernel", lambda *args: False)
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     with pytest.raises(PlanarError, match="could not split vertex"):
         accommodate(wheel_plane(4), sq)
@@ -333,10 +406,12 @@ def test_stray_parts_are_connected_and_drawn(edges, rotation, n):
     assert validate_plane_instance(plane) == []
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     tri = root_dual(ear_clip(sq))
-    _, journal = planar.augment_triangulated(plane, tri)
-    # the stray part is joined through its smallest vertex before anything
-    # else is added
-    assert journal[0] == planar.AddedEdge(0, 4)
+    s = planar.PlaneSurgeon(plane)
+    edges = set(s.edges)
+    planar._connect_components(s)
+    # the stray part is joined through its smallest vertex, to the first
+    # vertex of an interior face of the main part
+    assert s.edges - edges == {(0, 4)}
     d = accommodate(plane, sq, tri)
     assert validate_planar(d, plane.instance)
     assert validate_respecting(d, plane.instance, sq).ok
