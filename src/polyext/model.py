@@ -126,10 +126,12 @@ def trace_faces(rotation: dict[int, list[int]]) -> list[list[int]]:
     pos = {v: {u: i for i, u in enumerate(ns)} for v, ns in rotation.items()}
     unused = {(u, v) for u, ns in rotation.items() for v in ns}
     faces = []
-    while unused:
-        u0, v0 = min(unused)
+    # each walk starts at the smallest dart not yet walked
+    for start in sorted(unused):
+        if start not in unused:
+            continue
         walk = []
-        u, v = u0, v0
+        u, v = start
         while (u, v) in unused:
             unused.remove((u, v))
             walk.append(u)

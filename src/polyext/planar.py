@@ -9,13 +9,13 @@ planar drawing inside the polygon.
 
 Augmentation and contraction sketch-test an edge set before the surgery, so
 nothing is rolled back.  The journal holds only what replay reads: strips
-and contractions.  It is replayed once, at default_epsilon.  A contraction
-is undone by trying split points on one ladder (shrinking distance, then
-wedge weight, then wedge) until one lies in the kernel of the split vertex's
-link (_in_link_kernel: one orientation test per neighbour); a split that
-fits nowhere on the ladder raises PlanarError (exit 3 in the CLI, never a
-verdict).  A re-inserted strip interior must lie strictly inside its drawn
-triangle.  Only the finished drawing takes the full planarity and
+and contractions.  It is replayed once.  A contraction is undone at one
+split point, computed from the exact bound each edge of the split vertex's
+link puts on the distance from the surviving vertex, and capped by
+default_epsilon; the point lies in the kernel of that link
+(_in_link_kernel: one orientation test per neighbour, checked as an
+invariant).  A re-inserted strip interior must lie strictly inside its
+drawn triangle.  Only the finished drawing takes the full planarity and
 polygon-respect checks.
 """
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .geometry import (INTERIOR, Point2, SimplePolygon, ccw_strictly_between,
-                       orient, point_in_triangle, point_on_segment,
-                       primitive_direction, segments_properly_cross)
+from .geometry import (INTERIOR, Point2, SimplePolygon, orient,
+                       point_in_triangle, point_on_segment, primitive_direction,
+                       pt, segments_properly_cross)
 from .model import (Instance, PlaneInstance, trace_faces, _cyclic_equal,
                     components, mirror_rotation, orient_plane_instance,
                     validate_plane_instance)
@@ -58,7 +58,6 @@ class StrippedTriangle:
 class ContractedEdge:
     v: int                           # removed vertex
     z: int                           # surviving vertex
-    common: tuple[int, int]          # the two shared face neighbours
     snapshot: PlaneInstance          # state before the contraction
 
 
@@ -145,17 +144,15 @@ class PlaneSurgeon:
         self.n = len(keep)
         return remap
 
-    def contract(self, u: int, v: int) -> tuple[int, int]:
+    def contract(self, u: int, v: int):
         """Contract edge (u, v), keeping u.  Requires a triangulated
         embedding where u and v share exactly two neighbours (the two faces
-        on the edge).  Returns those two neighbours.  Vertex ids above v
-        shift down by one."""
+        on the edge).  Vertex ids above v shift down by one."""
         common = sorted(set(self.rot[u]) & set(self.rot[v]))
         if len(common) != 2:
             raise PlanarError(
                 f"edge ({u},{v}) has {len(common)} shared neighbours; "
                 "separating triangle present?")
-        x, y = common
         ru, rv = self.rot[u], self.rot[v]
         iu = ru.index(v)
         iv = rv.index(u)
@@ -179,8 +176,7 @@ class PlaneSurgeon:
         for w in rv:
             if w != u:
                 self.edges.add(tuple(sorted((u, w))))
-        remap = self.delete_vertices({v})   # drops v's edges, keeps ids dense
-        return remap[x], remap[y]
+        self.delete_vertices({v})   # drops v's edges, keeps ids dense
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +424,10 @@ def contract_sketch_preserving(plane: PlaneInstance, tri: Triangulation
         if sketch_linear(_contracted(inst, keep, drop), tri) is None:
             continue
         s = PlaneSurgeon(plane)
-        common = s.contract(keep, drop)
+        s.contract(keep, drop)
         cand = s.plane
         _assert_valid(cand)
         journal: list[JournalStep] = [ContractedEdge(v=drop, z=keep,
-                                                     common=common,
                                                      snapshot=plane)]
         cand, strips = strip_separating_interiors(cand)
         journal.extend(strips)
@@ -525,34 +520,35 @@ def default_epsilon(polygon: SimplePolygon, tri: Triangulation) -> Fraction:
     return best / 4
 
 
-def _wedge_direction(d1: Point2, d2: Point2, weight: Fraction) -> Point2:
-    """A direction strictly inside the ccw wedge from d1 to d2."""
+def _wedge_direction(d1: Point2, d2: Point2) -> Point2:
+    """A direction strictly left of d1 and strictly right of d2 (inside the
+    ccw wedge from d1 to d2 when that wedge is convex)."""
     n1 = d1.scale(Fraction(1, abs(d1.x) + abs(d1.y)))
     n2 = d2.scale(Fraction(1, abs(d2.x) + abs(d2.y)))
     cr = n1.cross(n2)
     if cr > 0:
-        return n1 + n2.scale(weight)
+        return n1 + n2
     if cr < 0:
-        return (n1 + n2.scale(weight)).scale(-1)
+        return (n1 + n2).scale(-1)
     if n1.dot(n2) < 0:  # wedge is exactly a half-plane
-        return n1.perp_ccw() + n1.scale(weight / 8)
+        return n1.perp_ccw() + n1.scale(Fraction(1, 8))
     raise PlanarError("degenerate zero-width wedge")
 
 
-def _angular_contains(base: Point2, d1: Point2, d2: Point2, q: Point2) -> bool:
-    """Whether q - base lies in the ccw cone from d1 - base to d2 - base."""
-    s = primitive_direction(d1 - base)
-    e = primitive_direction(d2 - base)
-    m = primitive_direction(q - base)
-    return m == s or m == e or ccw_strictly_between(s, m, e)
+def _power_of_two_below(x: Fraction) -> Fraction:
+    """The largest power of two strictly below x > 0."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    # 2^(k-1) < x < 2^(k+1); step down once if 2^k is not strictly below
+    p = Fraction(2) ** k
+    return p if p < x else p / 2
 
 
 def accommodate(plane: PlaneInstance, polygon: SimplePolygon,
                 tri: Optional[Triangulation] = None) -> Drawing:
     """Planar polygon-respecting drawing of a sketchable plane instance.
 
-    The journal is replayed once; a split that fits nowhere on its shrink
-    ladder raises PlanarError.
+    The journal is replayed once, each contraction undone at one split
+    point in the kernel of the split vertex's link.
     """
     if tri is None:
         tri = root_dual(ear_clip(polygon))
@@ -572,7 +568,7 @@ def _replay(minimal: PlaneInstance, journal: list[JournalStep],
     # starts from a valid drawing (see _in_link_kernel)
     for step in reversed(journal):
         if isinstance(step, ContractedEdge):
-            pos = _undo_contraction(step, cur, pos, eps)
+            pos = _undo_contraction(step, pos, eps)
         else:
             pos = _undo_strip(step, cur, pos)
         cur = step.snapshot
@@ -610,41 +606,44 @@ def _in_link_kernel(pos: dict[int, Point2], v: int, link: list[int]) -> bool:
                for a, b in zip(link, link[1:] + link[:1]))
 
 
-def _undo_contraction(step: ContractedEdge, cur: PlaneInstance,
-                      pos: dict[int, Point2], eps: Fraction
-                      ) -> dict[int, Point2]:
-    """Re-split z into (z, v): v goes an epsilon into the wedge between the
-    two shared neighbours, on the side holding v's other former edges."""
+def _undo_contraction(step: ContractedEdge, pos: dict[int, Point2],
+                      eps: Fraction) -> dict[int, Point2]:
+    """Re-split z into (z, v) at one point of the kernel of v's link.
+
+    Why a split point always exists: the drawing is valid (_in_link_kernel),
+    so every face around z, at point zp, is a ccw triangle.  The link edges
+    (prev, z) and (z, next), for v's neighbours around z in its rotation,
+    leave v the directions strictly left of d1 = next - zp and strictly
+    right of d2 = prev - zp; d is taken among them.  Every other link edge
+    (a, b) bounds a face (z, a, b), so cross(b-a, zp-a) > 0, and zp + delta*d
+    stays left of it for every delta > 0 if cross(b-a, d) >= 0, else for
+    delta < cross(b-a, zp-a) / -cross(b-a, d).  These bounds are exact and
+    positive, so delta = the largest power of two strictly below eps and half
+    of each bound puts v in the kernel, at O(deg v) cost; the kernel test on
+    that point is an invariant check, not a search.
+    """
     before = step.snapshot
     v, z = step.v, step.z
     # ids >= v in `cur` correspond to id+1 in `before`
-    lift = {w: (w if w < v else w + 1) for w in range(cur.instance.n)}
-    new_pos = {lift[w]: p for w, p in pos.items()}
+    new_pos = {(w if w < v else w + 1): p for w, p in pos.items()}
     rot_v = before.rotation[v]
-    exclusive = [w for w in rot_v if w != z]
+    i = rot_v.index(z)
     zp = new_pos[z]
-    x, y = (lift[c] for c in step.common)
-    dx, dy = new_pos[x] - zp, new_pos[y] - zp
-    others = [w for w in exclusive if w not in (x, y)]
-    # the split distance must be small relative to the local configuration,
-    # not just the global epsilon, or nested splits collide at every scale
-    local = min(abs(p.x - zp.x) + abs(p.y - zp.y)
-                for w, p in new_pos.items() if w != v and p != zp)
-    base = min(eps, local / 4)
-    wedges = [(d1, d2) for d1, d2 in ((dx, dy), (dy, dx))
-              if all(_angular_contains(zp, zp + d1, zp + d2, new_pos[w])
-                     for w in others)]
-    for shrink in range(12):
-        dist = base / (4 ** shrink)
-        for weight in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3)):
-            for d1, d2 in wedges:
-                direction = _wedge_direction(d1, d2, weight)
-                ln = abs(direction.x) + abs(direction.y)
-                cand = dict(new_pos)
-                cand[v] = zp + direction.scale(dist / ln)
-                if _in_link_kernel(cand, v, rot_v):
-                    return cand
-    raise PlanarError(f"could not split vertex {v} off {z}")
+    d = _wedge_direction(new_pos[rot_v[(i + 1) % len(rot_v)]] - zp,
+                         new_pos[rot_v[i - 1]] - zp)
+    d = pt(*primitive_direction(d))
+    cap = eps
+    for a, b in zip(rot_v, rot_v[1:] + rot_v[:1]):
+        if z in (a, b):
+            continue
+        edge = new_pos[b] - new_pos[a]
+        drift = edge.cross(d)
+        if drift < 0:
+            cap = min(cap, edge.cross(zp - new_pos[a]) / (-2 * drift))
+    new_pos[v] = zp + d.scale(_power_of_two_below(cap))
+    if not _in_link_kernel(new_pos, v, rot_v):
+        raise PlanarError(f"split of vertex {v} off {z} left its link kernel")
+    return new_pos
 
 
 def _undo_strip(step: StrippedTriangle, cur: PlaneInstance,

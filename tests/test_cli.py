@@ -605,12 +605,9 @@ def test_subcommands_agree_with_check(tmp_path, capsys):
                        "--kind", other)[0] == EXIT_INVALID
         if plane is not None and rc == EXIT_POSITIVE:
             plane_path = write("plane.json", plane_instance_to_json(plane))
-            rc, out = run("draw", plane_path, poly_path, "--planar",
-                          "-o", drawing)
-            assert rc != EXIT_NEGATIVE
-            if rc != EXIT_POSITIVE:
-                # the known split defect, ROADMAP item 3: an internal
-                # error, never a verdict
-                assert rc == EXIT_INTERNAL
-                assert "could not split" in json.loads(out)["error"]
+            assert run("draw", plane_path, poly_path, "--planar",
+                       "-o", drawing)[0] == EXIT_POSITIVE
+            assert run("verify", drawing, plane_path, poly_path,
+                       "--planar") == (EXIT_POSITIVE,
+                                       dumps({"status": "valid"}))
     assert seen == {"universal", "pair", "triple"}

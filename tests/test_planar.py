@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 import polyext.planar as planar
-from polyext.geometry import Point2, SimplePolygon, pt, point_in_ring, OUTSIDE
+from polyext.geometry import (Point2, SimplePolygon, angular_cmp, pt,
+                              point_in_ring, primitive_direction, OUTSIDE)
 from polyext.model import Instance, PlaneInstance, validate_plane_instance
 from polyext.conditions import check_universality
 from polyext.jsonio import (dumps, drawing_to_json, load,
@@ -33,10 +35,24 @@ def square_pair_plane():
 
 
 def assert_golden(drawing, name):
-    # drawings recorded from whole-drawing checks of every replay step; the
-    # link-kernel test must accept exactly the candidates those accepted
+    # drawings recorded from the split points replay computes; each one
+    # passes `polyext verify --planar`
     with open(fixture_path(f"planar_golden_{name}.json")) as fh:
         assert dumps(drawing_to_json(drawing)) == fh.read()
+
+
+def assert_keeps_rotation(drawing, plane):
+    # every vertex of degree >= 3 sees its neighbours in the exact ccw
+    # angular order of its rotation, up to a cyclic shift
+    pos = drawing.positions
+    for u, ns in plane.rotation.items():
+        if len(ns) < 3:
+            continue
+        dirs = {w: primitive_direction(pos[w] - pos[u]) for w in ns}
+        drawn = sorted(ns, key=cmp_to_key(
+            lambda a, b: angular_cmp(dirs[a], dirs[b])))
+        k = drawn.index(ns[0])
+        assert drawn[k:] + drawn[:k] == list(ns), f"vertex {u}"
 
 
 def test_minimize_wheel():
@@ -121,6 +137,7 @@ def test_random_suite():
         done += 1
         assert validate_planar(d, plane.instance)
         assert validate_respecting(d, plane.instance, poly).ok
+        assert_keeps_rotation(d, plane)
     assert done >= 15
 
 
@@ -138,12 +155,14 @@ def test_sketch_failure_is_not_a_verdict(monkeypatch):
 
 
 def test_local_check_matches_full_check(monkeypatch):
-    # each split candidate is tested on top of a valid drawing (the minimal
+    # each split point is tested on top of a valid drawing (the minimal
     # one, or one accepted before), so the link-kernel verdict must equal
-    # the full verdict on the instance before the contraction.  Strip steps
-    # replay nested accommodate calls into their own triangle, so the
-    # polygon and instance are tracked per frame.
-    seen, polygons, instances = [], [], []
+    # the full verdict on the instance before the contraction.  Replay tests
+    # one point per split, which the kernel always accepts, so the points
+    # 2^j times as far from z along the same direction are tested too, until
+    # they leave the kernel.  Strip steps replay nested accommodate calls
+    # into their own triangle, so the polygon and step are tracked per frame.
+    seen, polygons, steps = [], [], []
     kernel, replay, undo = (planar._in_link_kernel, planar._replay,
                             planar._undo_contraction)
 
@@ -155,17 +174,27 @@ def test_local_check_matches_full_check(monkeypatch):
             polygons.pop()
 
     def spy_undo(step, *args):
-        instances.append(step.snapshot.instance)
+        steps.append(step)
         try:
             return undo(step, *args)
         finally:
-            instances.pop()
+            steps.pop()
+
+    def verdicts(pos, v, link):
+        inst = steps[-1].snapshot.instance
+        d = Drawing(positions=dict(pos))
+        full = (validate_planar(d, inst)
+                and validate_respecting(d, inst, polygons[-1]).ok)
+        return kernel(pos, v, link), full
 
     def spy_kernel(pos, v, link):
-        verdict = kernel(pos, v, link)
-        d = Drawing(positions=dict(pos))
-        full = (validate_planar(d, instances[-1])
-                and validate_respecting(d, instances[-1], polygons[-1]).ok)
+        zp = pos[steps[-1].z]
+        step_out = pos[v] - zp
+        for j in range(1, 9):
+            farther = dict(pos)
+            farther[v] = zp + step_out.scale(2 ** j)
+            seen.append(verdicts(farther, v, link))
+        verdict, full = verdicts(pos, v, link)
         seen.append((verdict, full))
         return verdict
 
@@ -293,8 +322,8 @@ def test_final_check_guards_the_output(monkeypatch):
     plane = square_pair_plane()
     misplaced = []
 
-    def misplace(step, cur, pos, eps):
-        new_pos = undo(step, cur, pos, eps)
+    def misplace(step, pos, eps):
+        new_pos = undo(step, pos, eps)
         if step.snapshot.instance.n == plane.instance.n:
             # the last contraction replayed (the first one made)
             new_pos[step.v] = new_pos[step.z]
@@ -365,9 +394,9 @@ def test_surgery_failure_is_not_a_refused_chord(monkeypatch):
 
 
 def test_replay_runs_once(monkeypatch):
-    # with every split candidate refused, the first contraction undone runs
-    # through its whole ladder and raises; the journal is not replayed again
-    # at a smaller epsilon
+    # with the kernel test refusing everything, the first contraction undone
+    # raises on its one split point; the journal is not replayed again at a
+    # smaller epsilon
     replays = []
     replay = planar._replay
 
@@ -378,7 +407,7 @@ def test_replay_runs_once(monkeypatch):
     monkeypatch.setattr(planar, "_replay", count_replay)
     monkeypatch.setattr(planar, "_in_link_kernel", lambda *args: False)
     sq = SimplePolygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
-    with pytest.raises(PlanarError, match="could not split vertex"):
+    with pytest.raises(PlanarError, match="left its link kernel"):
         accommodate(wheel_plane(4), sq)
     assert len(replays) == 1
 
@@ -417,17 +446,39 @@ def test_stray_parts_are_connected_and_drawn(edges, rotation, n):
     assert validate_respecting(d, plane.instance, sq).ok
 
 
-@pytest.mark.xfail(strict=True, raises=PlanarError,
-                   reason="known defect: an earlier split leaves a sliver "
-                          "between v->2 and v->13 that no split candidate "
-                          "on the shrink ladder lands in")
-def test_split_sliver_instance_draws():
-    # the instance passes both distance conditions, yet replay cannot split
-    # vertex 10 off 0 (see ROADMAP item 4)
+def oracle_draw(seed, index):
+    """Draw `index` (0-based) of the seeded random_plane_instance loop."""
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        t = rng.randint(3, 12)
+        plane = random_plane_instance(rng, t=t, extra=rng.randint(0, 12))
+        poly = random_polygon(rng, t)
+    return plane, poly
+
+
+def sliver_fixture():
     plane = plane_instance_from_json(
         load(fixture_path("split_sliver_plane_instance.json")))
     poly = polygon_from_json(load(fixture_path("split_sliver_polygon.json")))
+    # the instance passes both distance conditions
     assert check_universality(plane.instance).universal
+    return plane, poly
+
+
+@pytest.mark.parametrize("case", [
+    sliver_fixture,
+    lambda: oracle_draw(101, 16),
+    lambda: oracle_draw(101, 225),
+    lambda: oracle_draw(101, 296),
+    lambda: oracle_draw(202, 267),
+], ids=["fixture", "seed101-draw16", "seed101-draw225", "seed101-draw296",
+        "seed202-draw267"])
+def test_split_sliver_instance_draws(case):
+    # on these inputs (n = 13 to 24) an earlier split leaves a thin sliver
+    # that a later split must land in, such as the one between v->2 and
+    # v->13 on the fixture; the kernel bound puts the split point there
+    plane, poly = case()
     d = accommodate(plane, poly)
     assert validate_planar(d, plane.instance)
     assert validate_respecting(d, plane.instance, poly).ok
+    assert_keeps_rotation(d, plane)
